@@ -11,9 +11,13 @@
 //!
 //! The four criteria combine multiplicatively following Tofallis [37]
 //! because no trade-off rate between them is known a priori.
+//!
+//! [`static_terms`] holds the terms independent of the selected set and
+//! [`combine`] is the one Eq. 2 / [`ScoreVariant`] formula; fed a
+//! [`diversity_upper_bound`], it bounds the score for bound-first selection.
 
 use catapult_csg::{ClusterWeights, Csg};
-use catapult_graph::ged::{ged_lower_bound, ged_with_budget};
+use catapult_graph::ged::{ged_lower_bound, ged_upper_bound, ged_with_budget};
 use catapult_graph::iso::{for_each_embedding, MatchOptions};
 use catapult_graph::metrics::cognitive_load;
 use catapult_graph::{EdgeLabel, Graph, SearchBudget, Tally};
@@ -50,11 +54,6 @@ impl EdgeLabelIndex {
         }
     }
 
-    /// Number of graphs indexed.
-    pub fn db_size(&self) -> usize {
-        self.db_size
-    }
-
     /// `lcov(p, D)`: fraction of graphs containing any of `p`'s edge labels.
     pub fn lcov(&self, pattern: &Graph) -> f64 {
         if self.db_size == 0 {
@@ -71,41 +70,15 @@ impl EdgeLabelIndex {
         let covered: u32 = acc.iter().map(|b| b.count_ones()).sum();
         covered as f64 / self.db_size as f64
     }
-
-    /// `lcov` for a whole pattern set (union over all patterns' labels).
-    pub fn lcov_set(&self, patterns: &[Graph]) -> f64 {
-        if self.db_size == 0 {
-            return 0.0;
-        }
-        let mut acc = vec![0u64; self.blocks_per_row];
-        for p in patterns {
-            for el in p.edge_label_set() {
-                if let Some(row) = self.rows.get(&el) {
-                    for (a, &b) in acc.iter_mut().zip(row) {
-                        *a |= b;
-                    }
-                }
-            }
-        }
-        let covered: u32 = acc.iter().map(|b| b.count_ones()).sum();
-        covered as f64 / self.db_size as f64
-    }
 }
 
 /// Default node cap for each CSG-containment VF2 test (CSGs are small;
 /// this is generous). A user [`SearchBudget`] node cap overrides it.
 pub const CCOV_ISO_BUDGET: u64 = 2_000_000;
 
-/// Which CSGs contain `p` (subgraph isomorphism against the closure graph).
-///
-/// Convenience wrapper over [`covering_csgs_audited`] with the default
-/// budget and no audit trail.
-pub fn covering_csgs(pattern: &Graph, csgs: &[Csg]) -> Vec<usize> {
-    covering_csgs_audited(pattern, csgs, &SearchBudget::unbounded(), &Tally::new())
-}
-
-/// [`covering_csgs`] under an explicit [`SearchBudget`], recording each
-/// VF2 probe's [`Completeness`](catapult_graph::Completeness) in `tally`.
+/// Which CSGs contain `p` (subgraph isomorphism against the closure
+/// graph), under an explicit [`SearchBudget`], recording each VF2 probe's
+/// [`Completeness`](catapult_graph::Completeness) in `tally`.
 /// A degraded probe may miss a covering CSG (never invents one), so `ccov`
 /// built from it is a lower bound.
 pub fn covering_csgs_audited(
@@ -131,25 +104,6 @@ pub fn covering_csgs_audited(
         .collect()
 }
 
-/// `ccov(p, cw, C) = Σ_i cw_i · I(CSG_i ⊇ p)` (§5).
-pub fn ccov(pattern: &Graph, csgs: &[Csg], cw: &ClusterWeights) -> f64 {
-    ccov_audited(pattern, csgs, cw, &SearchBudget::unbounded(), &Tally::new())
-}
-
-/// [`ccov`] under an explicit budget with a completeness audit trail.
-pub fn ccov_audited(
-    pattern: &Graph,
-    csgs: &[Csg],
-    cw: &ClusterWeights,
-    budget: &SearchBudget,
-    tally: &Tally,
-) -> f64 {
-    covering_csgs_audited(pattern, csgs, budget, tally)
-        .into_iter()
-        .map(|i| cw.get(i))
-        .sum()
-}
-
 /// Default GED node cap for diversity computations (patterns are ≤ ηmax ≈
 /// 12 edges). A user [`SearchBudget`] node cap overrides it.
 pub const DIV_GED_BUDGET: u64 = 50_000;
@@ -161,13 +115,10 @@ pub const DIV_GED_BUDGET: u64 = 50_000;
 ///
 /// Returns `None` for an empty `selected` set (the first pattern has no
 /// diversity term).
-pub fn diversity(pattern: &Graph, selected: &[Graph]) -> Option<f64> {
-    diversity_audited(pattern, selected, &SearchBudget::unbounded(), &Tally::new())
-}
-
-/// [`diversity`] under an explicit budget with a completeness audit trail.
-/// A tripped GED returns its best upper bound, so a degraded `div` can
-/// only over-estimate the true minimum distance.
+///
+/// Kernels run under `budget`, audited in `tally`. A tripped GED returns
+/// its best upper bound, so a degraded `div` can only over-estimate the
+/// true minimum distance.
 pub fn diversity_audited(
     pattern: &Graph,
     selected: &[Graph],
@@ -215,76 +166,64 @@ pub enum ScoreVariant {
     Additive,
 }
 
-/// The Eq. 2 pattern score. `div` defaults to 1 when no pattern has been
-/// selected yet (the multiplicative identity — the first pick is driven by
-/// coverage and cognitive load alone).
-pub fn pattern_score(
-    pattern: &Graph,
-    csgs: &[Csg],
-    cw: &ClusterWeights,
-    index: &EdgeLabelIndex,
-    selected: &[Graph],
-) -> f64 {
-    pattern_score_variant(pattern, csgs, cw, index, selected, ScoreVariant::Full)
+/// The Eq. 2 terms that do not depend on the selected set.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct StaticTerms {
+    /// Subgraph coverage `ccov(p, cw, C)`.
+    pub ccov: f64,
+    /// Label coverage `lcov(p, D)`.
+    pub lcov: f64,
+    /// Cognitive load `cog(p)`.
+    pub cog: f64,
 }
 
-/// Pattern score under a chosen [`ScoreVariant`].
-pub fn pattern_score_variant(
+/// [`StaticTerms`] of `pattern`, with `ccov(p, cw, C) = Σ_i cw_i ·
+/// I(CSG_i ⊇ p)` (§5). The VF2 probes run under `budget` and are audited
+/// in `tally`, so a degraded `ccov` is a lower bound.
+pub fn static_terms(
     pattern: &Graph,
     csgs: &[Csg],
     cw: &ClusterWeights,
     index: &EdgeLabelIndex,
-    selected: &[Graph],
-    variant: ScoreVariant,
-) -> f64 {
-    pattern_score_audited(
-        pattern,
-        csgs,
-        cw,
-        index,
-        selected,
-        variant,
-        &SearchBudget::unbounded(),
-        &Tally::new(),
-    )
-}
-
-/// [`pattern_score_variant`] under an explicit [`SearchBudget`], recording
-/// every NP-hard kernel call (ccov VF2 probes, diversity GEDs) in `tally`.
-/// With a degraded tally the score is approximate: `ccov` is a lower bound
-/// and `div` an upper bound.
-#[allow(clippy::too_many_arguments)]
-pub fn pattern_score_audited(
-    pattern: &Graph,
-    csgs: &[Csg],
-    cw: &ClusterWeights,
-    index: &EdgeLabelIndex,
-    selected: &[Graph],
-    variant: ScoreVariant,
     budget: &SearchBudget,
     tally: &Tally,
-) -> f64 {
-    let cov = ccov_audited(pattern, csgs, cw, budget, tally);
-    let label_cov = index.lcov(pattern);
-    let cog = cognitive_load(pattern);
-    if cog <= 0.0 {
+) -> StaticTerms {
+    StaticTerms {
+        ccov: covering_csgs_audited(pattern, csgs, budget, tally)
+            .into_iter()
+            .map(|i| cw.get(i))
+            .sum(),
+        lcov: index.lcov(pattern),
+        cog: cognitive_load(pattern),
+    }
+}
+
+/// The Eq. 2 score under `variant` from the static terms and `div`.
+///
+/// `div` is 1 when no pattern has been selected yet (the multiplicative
+/// identity, so the first pick is driven by coverage and cognitive load
+/// alone). Every variant is non-decreasing in `div`, which is what lets a
+/// diversity upper bound stand in for `div` to bound the score.
+pub fn combine(variant: ScoreVariant, t: StaticTerms, div: f64) -> f64 {
+    if t.cog <= 0.0 {
         return 0.0;
     }
     match variant {
-        ScoreVariant::Full => {
-            let div = diversity_audited(pattern, selected, budget, tally).unwrap_or(1.0);
-            cov * label_cov * div / cog
-        }
-        ScoreVariant::NoDiversity => cov * label_cov / cog,
-        ScoreVariant::NoCognitiveLoad => {
-            let div = diversity_audited(pattern, selected, budget, tally).unwrap_or(1.0);
-            cov * label_cov * div
-        }
-        ScoreVariant::Additive => {
-            let div = diversity_audited(pattern, selected, budget, tally).unwrap_or(1.0);
-            (cov + label_cov + div / (div + 1.0) + 1.0 / (1.0 + cog)) / 4.0
-        }
+        ScoreVariant::Full => t.ccov * t.lcov * div / t.cog,
+        ScoreVariant::NoDiversity => t.ccov * t.lcov / t.cog,
+        ScoreVariant::NoCognitiveLoad => t.ccov * t.lcov * div,
+        ScoreVariant::Additive => (t.ccov + t.lcov + div / (div + 1.0) + 1.0 / (1.0 + t.cog)) / 4.0,
     }
+}
+
+/// Upper bound on [`diversity_audited`]: `min_s ged_upper_bound(p, s)`
+/// over the selected set, with no search. Sound because a budgeted GED
+/// returns `min(best path, ged_upper_bound)`, and pruning only skips
+/// patterns whose lower bound is already at least the running minimum.
+/// `None` for an empty `selected` set, like [`diversity_audited`].
+pub fn diversity_upper_bound(pattern: &Graph, selected: &[Graph]) -> Option<f64> {
+    let min = selected.iter().map(|s| ged_upper_bound(pattern, s)).min()?;
+    Some(min as f64)
 }
 
 #[cfg(test)]
@@ -305,6 +244,14 @@ mod tests {
         ]
     }
 
+    fn div(p: &Graph, selected: &[Graph]) -> Option<f64> {
+        diversity_audited(p, selected, &SearchBudget::unbounded(), &Tally::new())
+    }
+
+    fn terms(p: &Graph, csgs: &[Csg], cw: &ClusterWeights, idx: &EdgeLabelIndex) -> StaticTerms {
+        static_terms(p, csgs, cw, idx, &SearchBudget::unbounded(), &Tally::new())
+    }
+
     #[test]
     fn lcov_unions_transactions() {
         let db = db();
@@ -313,7 +260,6 @@ mod tests {
         assert!((idx.lcov(&p) - 2.0 / 3.0).abs() < 1e-12);
         let q = Graph::from_parts(&[l(0), l(1), l(3), l(4)], &[(0, 1), (2, 3)]);
         assert!((idx.lcov(&q) - 1.0).abs() < 1e-12);
-        assert!((idx.lcov_set(&[p, q]) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -322,9 +268,13 @@ mod tests {
         let csgs = build_csgs(&db, &[vec![0, 1], vec![2]]);
         let cw = ClusterWeights::new(&csgs, db.len());
         let p = Graph::from_parts(&[l(0), l(1)], &[(0, 1)]);
+        let (budget, tally) = (SearchBudget::unbounded(), Tally::new());
         // p is in CSG 0 (weight 2/3) only.
-        assert!((ccov(&p, &csgs, &cw) - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(covering_csgs(&p, &csgs), vec![0]);
+        let idx = EdgeLabelIndex::build(&db);
+        let ccov = static_terms(&p, &csgs, &cw, &idx, &budget, &tally).ccov;
+        assert!((ccov - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(covering_csgs_audited(&p, &csgs, &budget, &tally), vec![0]);
+        assert!(tally.counts().total() > 0, "every probe is audited");
     }
 
     #[test]
@@ -332,9 +282,8 @@ mod tests {
         let p = Graph::from_parts(&[l(0); 3], &[(0, 1), (1, 2)]);
         let near = Graph::from_parts(&[l(0); 3], &[(0, 1), (1, 2), (0, 2)]); // +1 edge
         let far = Graph::from_parts(&[l(9); 6], &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
-        let d = diversity(&p, &[far, near]).unwrap();
-        assert_eq!(d, 1.0);
-        assert!(diversity(&p, &[]).is_none());
+        assert_eq!(div(&p, &[far, near]), Some(1.0));
+        assert!(div(&p, &[]).is_none());
     }
 
     #[test]
@@ -345,13 +294,27 @@ mod tests {
             Graph::from_parts(&[l(0), l(1), l(2), l(3)], &[(0, 1), (1, 2), (2, 3)]),
             Graph::from_parts(&[l(5), l(6), l(7)], &[(0, 1), (1, 2)]),
         ];
-        let pruned = diversity(&p, &set).unwrap();
         let naive = set
             .iter()
             .map(|q| ged_with_budget(&p, q, 1_000_000).distance)
             .min()
             .unwrap() as f64;
-        assert_eq!(pruned, naive);
+        assert_eq!(div(&p, &set), Some(naive));
+    }
+
+    #[test]
+    fn diversity_upper_bound_dominates_budgeted_diversity() {
+        let p = Graph::from_parts(&[l(0), l(1), l(0), l(1)], &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        let set = vec![
+            Graph::from_parts(&[l(0), l(1)], &[(0, 1)]),
+            Graph::from_parts(&[l(1); 4], &[(0, 1), (1, 2), (2, 3)]),
+        ];
+        let ub = diversity_upper_bound(&p, &set).unwrap();
+        assert!(div(&p, &set).unwrap() <= ub);
+        // Even a search that trips at once stays under the bound.
+        let tripped = diversity_audited(&p, &set, &SearchBudget::nodes(1), &Tally::new());
+        assert!(tripped.unwrap() <= ub);
+        assert!(diversity_upper_bound(&p, &[]).is_none());
     }
 
     #[test]
@@ -363,8 +326,8 @@ mod tests {
         // A pattern in the big cluster vs one in the small cluster.
         let popular = Graph::from_parts(&[l(0), l(1), l(2)], &[(0, 1), (1, 2)]);
         let niche = Graph::from_parts(&[l(3), l(4)], &[(0, 1)]);
-        let s1 = pattern_score(&popular, &csgs, &cw, &idx, &[]);
-        let s2 = pattern_score(&niche, &csgs, &cw, &idx, &[]);
+        let s1 = combine(ScoreVariant::Full, terms(&popular, &csgs, &cw, &idx), 1.0);
+        let s2 = combine(ScoreVariant::Full, terms(&niche, &csgs, &cw, &idx), 1.0);
         assert!(s1 > s2, "popular {s1} vs niche {s2}");
     }
 
@@ -376,25 +339,47 @@ mod tests {
         let idx = EdgeLabelIndex::build(&db);
         let p = Graph::from_parts(&[l(0), l(1), l(2)], &[(0, 1), (1, 2)]);
         let selected = vec![Graph::from_parts(&[l(0), l(1)], &[(0, 1)])];
-        let full = pattern_score_variant(&p, &csgs, &cw, &idx, &selected, ScoreVariant::Full);
-        let no_div =
-            pattern_score_variant(&p, &csgs, &cw, &idx, &selected, ScoreVariant::NoDiversity);
-        let no_cog = pattern_score_variant(
-            &p,
-            &csgs,
-            &cw,
-            &idx,
-            &selected,
-            ScoreVariant::NoCognitiveLoad,
-        );
-        let add = pattern_score_variant(&p, &csgs, &cw, &idx, &selected, ScoreVariant::Additive);
+        let t = terms(&p, &csgs, &cw, &idx);
+        let d = div(&p, &selected).unwrap();
+        let full = combine(ScoreVariant::Full, t, d);
+        let no_div = combine(ScoreVariant::NoDiversity, t, d);
+        let no_cog = combine(ScoreVariant::NoCognitiveLoad, t, d);
+        let add = combine(ScoreVariant::Additive, t, d);
         // div(p, selected) = GED to the single edge = 2 → full = no_div × 2.
         assert!((full - no_div * 2.0).abs() < 1e-9);
         // no_cog = full × cog.
-        let cog = catapult_graph::metrics::cognitive_load(&p);
-        assert!((no_cog - full * cog).abs() < 1e-9);
+        assert!((no_cog - full * t.cog).abs() < 1e-9);
         // additive is bounded in [0, 1].
         assert!((0.0..=1.0).contains(&add));
+    }
+
+    #[test]
+    fn combine_is_monotone_in_div() {
+        let t = StaticTerms {
+            ccov: 0.4,
+            lcov: 0.7,
+            cog: 1.3,
+        };
+        for variant in [
+            ScoreVariant::Full,
+            ScoreVariant::NoDiversity,
+            ScoreVariant::NoCognitiveLoad,
+            ScoreVariant::Additive,
+        ] {
+            for d in 0..40 {
+                let (lo, hi) = (
+                    combine(variant, t, d as f64),
+                    combine(variant, t, d as f64 + 1.0),
+                );
+                assert!(
+                    lo <= hi,
+                    "{variant:?}: div {d} scores {lo}, div {} scores {hi}",
+                    d + 1
+                );
+            }
+        }
+        let no_cog = StaticTerms { cog: 0.0, ..t };
+        assert_eq!(combine(ScoreVariant::Full, no_cog, 3.0), 0.0);
     }
 
     #[test]

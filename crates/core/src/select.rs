@@ -1,17 +1,23 @@
 //! Canned pattern selection — Algorithm 4 (`FindCannedPatternSet`).
 //!
 //! Greedy iterations: every CSG proposes one final candidate pattern per
-//! open size (random-walk library → FCP), each candidate is scored with
-//! Eq. 2, the best one joins the pattern set, and cluster / edge-label
-//! weights are damped multiplicatively so later iterations favour uncovered
-//! regions. The loop stops when `γ` patterns are selected, every size quota
-//! is filled, or no scoring candidate remains.
+//! open size (random-walk library → FCP), the candidate with the highest
+//! Eq. 2 score joins the pattern set, and cluster / edge-label weights are
+//! damped multiplicatively so later iterations favour uncovered regions.
+//! The loop stops when `γ` patterns are selected, every size quota is
+//! filled, or no scoring candidate remains.
+//!
+//! Scoring is bound-first ([`bound_first_argmax`], DESIGN.md §15): the
+//! diversity GEDs run only for candidates whose score bound can still win.
 
 use crate::budget::{PatternBudget, SizeCounts};
 use crate::fcp::generate_fcp;
 use crate::querylog::QueryLog;
 use crate::report::PipelineReport;
-use crate::score::{covering_csgs_audited, pattern_score_audited, EdgeLabelIndex, ScoreVariant};
+use crate::score::{
+    combine, covering_csgs_audited, diversity_audited, diversity_upper_bound, static_terms,
+    EdgeLabelIndex, ScoreVariant, StaticTerms,
+};
 use crate::walk::generate_library;
 use catapult_csg::{ClusterWeights, Csg, EdgeLabelWeights, WeightedCsg};
 use catapult_graph::iso::are_isomorphic_tagged;
@@ -46,7 +52,8 @@ pub struct SelectionConfig {
     /// Observability recorder (disabled by default). When enabled, the
     /// loop emits a `selection` span with per-iteration `greedy_iter`
     /// children (`walks` / `dedup` / `score` inside), and kernel effort
-    /// lands in the `scoring.*` counters.
+    /// lands in the `scoring.*` counters; `scoring.greedy.exact_scored`
+    /// counts the candidates whose diversity was computed.
     pub recorder: Recorder,
 }
 
@@ -61,13 +68,6 @@ impl Default for SelectionConfig {
             search: SearchBudget::unbounded(),
             recorder: Recorder::disabled(),
         }
-    }
-}
-
-impl SelectionConfig {
-    /// Paper-default selection settings.
-    pub fn paper_default() -> Self {
-        Self::default()
     }
 }
 
@@ -89,7 +89,8 @@ pub struct SelectionResult {
     pub selected: Vec<SelectedPattern>,
     /// Wall-clock pattern-generation time (the paper's PGT measure).
     pub elapsed: Duration,
-    /// Completeness audit of every NP-hard kernel call. Direct callers
+    /// Completeness audit of every NP-hard kernel call that ran (diversity
+    /// GEDs run only for candidates that could still win). Direct callers
     /// only see the `scoring` stage populated; [`run_catapult`]
     /// (crate::catapult::run_catapult) fills in mining and clustering.
     pub report: PipelineReport,
@@ -121,6 +122,7 @@ pub fn find_canned_patterns<R: Rng>(
         .with_probe(cfg.recorder.stage_probe("scoring"));
     let iterations = cfg.recorder.counter("scoring.greedy.iterations");
     let candidates_seen = cfg.recorder.counter("scoring.greedy.candidates");
+    let exact_scored = cfg.recorder.counter("scoring.greedy.exact_scored");
     let budget = cfg.budget.clone();
     // Progress accounting (`--progress` ETA): γ slots to fill, one done
     // per selected pattern. The greedy loop may stop early (exhausted
@@ -199,37 +201,42 @@ pub fn find_canned_patterns<R: Rng>(
             break;
         }
         let _score_span = cfg.recorder.span("score");
-        // Score in parallel (pure function of immutable state; `scoring`
-        // is a commutative `Tally`). `enumerate` pairs each score with its
-        // *source* index and collection is ordered, so the greedy argmax
-        // below sees the same list for every thread count.
-        let scored: Vec<(f64, usize)> = candidates
+        // Bound-first scoring (DESIGN.md §15): diversity GEDs run only for
+        // candidates whose score bound can still win. `scoring` is a
+        // commutative `Tally` and collections are ordered, so the argmax
+        // and the tally are the same for every thread count.
+        let bounded: Vec<Bounded> = candidates
             .par_iter()
-            .enumerate()
-            .map(|(i, (c, _))| {
-                let mut s = pattern_score_audited(
-                    c,
-                    csgs,
-                    &cw,
-                    &index,
-                    &selected_graphs,
-                    cfg.variant,
-                    &search,
-                    &scoring,
-                );
-                if let Some(log) = &cfg.query_log {
-                    s *= 1.0 + cfg.log_weight * log.pattern_frequency(c);
+            .map(|(c, _)| {
+                let boost = (cfg.query_log.as_ref())
+                    .map(|log| 1.0 + cfg.log_weight * log.pattern_frequency(c));
+                // A negative boost (λ < 0) reverses the order in `div`, so
+                // its bound can undershoot; but it makes the score ≤ 0, and
+                // a best score ≤ 0 ends the loop, so the pick is unchanged.
+                let div_bound = match cfg.variant {
+                    ScoreVariant::NoDiversity => None,
+                    _ => diversity_upper_bound(c, &selected_graphs),
+                };
+                let terms = static_terms(c, csgs, &cw, &index, &search, &scoring);
+                Bounded {
+                    terms,
+                    boost,
+                    div_bound,
                 }
-                (s, i)
             })
             .collect();
-        // `candidates` was checked non-empty above, so `scored` has a
-        // maximum; `total_cmp` keeps the greedy argmax well-defined even if
-        // a score degenerated to NaN.
-        let Some(&(best_score, best_idx)) = scored
+        let bounds: Vec<f64> = bounded
             .iter()
-            .max_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)))
-        else {
+            .map(|b| b.score(cfg.variant, b.div_bound))
+            .collect();
+        let Some((best_score, best_idx)) = bound_first_argmax(&bounds, |i| {
+            if bounded[i].div_bound.is_none() {
+                return bounds[i];
+            }
+            exact_scored.incr();
+            let div = diversity_audited(&candidates[i].0, &selected_graphs, &search, &scoring);
+            bounded[i].score(cfg.variant, div)
+        }) else {
             break;
         };
         if best_score <= 0.0 {
@@ -262,6 +269,47 @@ pub fn find_canned_patterns<R: Rng>(
             ..PipelineReport::default()
         },
     }
+}
+
+/// A candidate's score terms before its diversity GEDs run.
+struct Bounded {
+    terms: StaticTerms,
+    /// Query-log factor `1 + λ·freq(p)`, when a log is configured.
+    boost: Option<f64>,
+    /// The `div` that bounds the score from above; `None` when the score
+    /// has no diversity term to compute, so the bound is exact.
+    div_bound: Option<f64>,
+}
+
+impl Bounded {
+    fn score(&self, variant: ScoreVariant, div: Option<f64>) -> f64 {
+        let s = combine(variant, self.terms, div.unwrap_or(1.0));
+        self.boost.map_or(s, |k| s * k)
+    }
+}
+
+/// Greedy argmax (`f64::total_cmp`, ties to the lowest index) of costly
+/// exact scores, given `bounds[i] ≥ exact(i)`: scores the top-bound
+/// candidate, then in one parallel pass every other candidate whose bound
+/// reaches that score. The rest score strictly lower, so this is the
+/// exhaustive argmax, and which candidates get scored is independent of
+/// the thread count. `None` when `bounds` is empty.
+pub fn bound_first_argmax<F>(bounds: &[f64], exact: F) -> Option<(f64, usize)>
+where
+    F: Fn(usize) -> f64 + Sync,
+{
+    let (_, top) = argmax(bounds.iter().copied().zip(0..))?;
+    let top_score = exact(top);
+    let contenders: Vec<usize> = (0..bounds.len())
+        .filter(|&i| i != top && bounds[i].total_cmp(&top_score).is_ge())
+        .collect();
+    let scored: Vec<(f64, usize)> = contenders.par_iter().map(|&i| (exact(i), i)).collect();
+    argmax(scored.into_iter().chain([(top_score, top)]))
+}
+
+/// Highest `(score, index)` under `f64::total_cmp`, ties to the lowest index.
+fn argmax(xs: impl Iterator<Item = (f64, usize)>) -> Option<(f64, usize)> {
+    xs.max_by(|a, b| a.0.total_cmp(&b.0).then(b.1.cmp(&a.1)))
 }
 
 #[cfg(test)]
@@ -517,7 +565,7 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let cfg = SelectionConfig::paper_default();
+        let cfg = SelectionConfig::default();
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         let r = find_canned_patterns(&[], &[], &cfg, &mut rng);
         assert!(r.selected.is_empty());

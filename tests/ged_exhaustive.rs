@@ -8,9 +8,9 @@
 // no-panic policy targets library production code only.
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 use catapult::graph::edit::{apply_edit_script, edit_script};
-use catapult::graph::ged::{ged_lower_bound, ged_with_budget, induced_edit_cost};
+use catapult::graph::ged::{ged_lower_bound, ged_upper_bound, ged_with_budget, induced_edit_cost};
 use catapult::graph::iso::are_isomorphic;
-use catapult::graph::{Graph, Label, VertexId};
+use catapult::graph::{Graph, Label, SearchBudget, VertexId};
 use rand::{Rng, SeedableRng};
 
 /// Minimum induced edit cost over every injective partial mapping A → B.
@@ -80,6 +80,41 @@ fn search_matches_brute_force_on_tiny_graphs() {
         );
         assert!(ged_lower_bound(&a, &b) <= brute);
     }
+}
+
+/// Every budgeted GED lies between the Definition 5.1 lower bound and the
+/// Riesen–Bunke upper bound, however early the search is cut. Bound-first
+/// greedy scoring rests on the upper half: a candidate's diversity never
+/// exceeds `min_s ged_upper_bound`, whatever node cap the run uses.
+#[test]
+fn budgeted_distance_is_sandwiched_by_the_bounds_at_every_cap() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5015);
+    let caps = [
+        SearchBudget::nodes(1),
+        SearchBudget::nodes(10),
+        SearchBudget::nodes(1000),
+        SearchBudget::nodes(50_000),
+        SearchBudget::unbounded(),
+    ];
+    let mut degraded = 0;
+    for trial in 0..150 {
+        let a = random_graph(&mut rng, 7, 3);
+        let b = random_graph(&mut rng, 7, 3);
+        let (lb, ub) = (ged_lower_bound(&a, &b), ged_upper_bound(&a, &b));
+        for cap in &caps {
+            let r = ged_with_budget(&a, &b, cap.clone());
+            assert!(
+                lb <= r.distance && r.distance <= ub,
+                "trial {trial} cap {cap:?}: {lb} <= {} <= {ub} fails\nA = {a:?}\nB = {b:?}",
+                r.distance
+            );
+            degraded += usize::from(!r.is_exact());
+        }
+    }
+    assert!(
+        degraded > 0,
+        "no cap degraded a search; the caps are too loose"
+    );
 }
 
 #[test]

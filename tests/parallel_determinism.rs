@@ -178,6 +178,53 @@ fn flight_recorder_and_progress_meter_are_output_neutral() {
     catapult_obs::flight::set_enabled(was_enabled);
 }
 
+/// Bound-first greedy scoring runs the diversity GEDs only for candidates
+/// whose score bound can still win. That set depends only on the bounds
+/// and one exact score, so `scoring.greedy.exact_scored` and every other
+/// `scoring.*` counter must be identical for every thread count.
+#[test]
+fn exact_scored_count_and_scoring_counters_match_across_thread_counts() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let db = quickstart_db();
+    let scoring_counters = |threads: usize| {
+        let recorder = catapult_obs::Recorder::enabled();
+        let cfg = CatapultConfig {
+            recorder: recorder.clone(),
+            ..quickstart_cfg()
+        };
+        let r = with_threads(threads, || run_catapult(&db.graphs, &cfg));
+        let counters: Vec<(String, u64)> = recorder
+            .snapshot()
+            .unwrap()
+            .counters
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("scoring."))
+            .collect();
+        (counters, r.selection.report.scoring)
+    };
+    let golden = scoring_counters(1);
+    let count = |name: &str| {
+        golden
+            .0
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, v)| *v)
+    };
+    let exact_scored = count("scoring.greedy.exact_scored");
+    assert!(exact_scored > 0, "no candidate was scored exactly");
+    assert!(
+        exact_scored <= count("scoring.greedy.candidates"),
+        "more exact scores than candidates"
+    );
+    for threads in [2usize, 8] {
+        assert_eq!(
+            scoring_counters(threads),
+            golden,
+            "threads={threads}: scoring counters diverged"
+        );
+    }
+}
+
 #[test]
 fn auto_sizing_also_matches_the_golden() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
