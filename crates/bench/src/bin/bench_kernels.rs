@@ -1,9 +1,10 @@
 //! Kernel microbenchmark: `cargo run --release -p catapult-bench --bin
 //! bench_kernels [-- <out.json> [scale] [reps]]`.
 //!
-//! Times the search kernels behind fine clustering — MCS / MCCS (pruned
-//! vs reference unpruned), isomorphism checks and canonical-form hashing
-//! — over a fixed molecule-pair workload, and writes per-kernel medians
+//! Times the search kernels behind fine clustering and selection — MCS /
+//! MCCS (pruned vs reference unpruned), isomorphism checks,
+//! canonical-form hashing and GED — over a fixed molecule-pair workload
+//! (pattern pairs for GED), and writes per-kernel medians
 //! plus probe counts to `BENCH_kernels.json` (or the given path). See
 //! [`catapult_bench::kernels`] for what the pruned/unpruned split means.
 //!

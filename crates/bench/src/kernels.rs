@@ -1,9 +1,10 @@
-//! Per-kernel microbenchmarks: the search kernels the fine-clustering hot
-//! path spends its time in, measured in isolation.
+//! Per-kernel microbenchmarks: the search kernels the fine-clustering and
+//! selection hot paths spend their time in, measured in isolation.
 //!
 //! Each entry times one kernel — MCS / MCCS (pruned and reference
-//! unpruned), subgraph-isomorphism checks, and canonical-form hashing —
-//! over a fixed set of AIDS-profile molecule pairs, and reports the
+//! unpruned), subgraph-isomorphism checks, canonical-form hashing, and
+//! the GED search behind selection's diversity term — over a fixed set of
+//! AIDS-profile molecule (or pattern) pairs, and reports the
 //! median-of-N wall clock plus the number of search probes one sweep
 //! spends (read back through the observability recorder, so the numbers
 //! are the same counters a CLI run emits). Results land in
@@ -15,9 +16,17 @@
 //! medians is the kernel-level speedup, and the probe counts show where
 //! it comes from (pruning rejects candidate pairs before branching, so
 //! probes drop with the wall clock).
+//!
+//! The GED entry runs on connected patterns of 3–12 edges cut from the
+//! molecules (the sizes selection's candidates have) at selection's
+//! diversity node cap. Its probe count is the number of nodes the
+//! branch-and-bound expands, so an exact probe match between manifests
+//! means the search tree did not change.
 
-use catapult_datasets::{aids_profile, generate};
+use catapult_core::score::DIV_GED_BUDGET;
+use catapult_datasets::{aids_profile, generate, random_queries};
 use catapult_graph::canonical::canonical_form;
+use catapult_graph::ged::ged_with_budget;
 use catapult_graph::iso::are_isomorphic_tagged;
 use catapult_graph::mcs::{mcs, McsConfig};
 use catapult_graph::{Graph, SearchBudget};
@@ -27,7 +36,7 @@ use std::time::Duration;
 /// One kernel variant measured over the shared pair workload.
 #[derive(Clone, Debug)]
 pub struct KernelBench {
-    /// Kernel name ("mcs", "mccs", "iso", "canonical").
+    /// Kernel name ("mcs", "mccs", "iso", "canonical", "ged").
     pub kernel: &'static str,
     /// Variant within the kernel ("pruned", "unpruned", or "-" where the
     /// distinction does not apply).
@@ -98,11 +107,11 @@ fn median_of_sorted(sorted: &[Duration]) -> Duration {
     }
 }
 
-/// Probes one instrumented sweep of `f` spends, read back through the
-/// stage counters the budget meter flushes.
-fn probes_of(f: impl FnOnce(&SearchBudget)) -> u64 {
+/// Probes one instrumented sweep of `f` under a `cap`-node budget spends,
+/// read back through the stage counters the budget meter flushes.
+fn probes_of(cap: u64, f: impl FnOnce(&SearchBudget)) -> u64 {
     let rec = Recorder::enabled();
-    let budget = SearchBudget::nodes(PAIR_BUDGET).with_probe(rec.stage_probe("bench_kernels"));
+    let budget = SearchBudget::nodes(cap).with_probe(rec.stage_probe("bench_kernels"));
     f(&budget);
     rec.snapshot()
         .map_or(0, |s| s.stage_metric_total("bench_kernels", "probes"))
@@ -165,7 +174,9 @@ pub fn run_recorded(scale: usize, reps: usize, recorder: &Recorder) -> Vec<Kerne
             let median = time_median(reps, || {
                 mcs_sweep(graphs, &pairs, connected, pruning, &plain)
             });
-            let probes = probes_of(|b| mcs_sweep(graphs, &pairs, connected, pruning, b));
+            let probes = probes_of(PAIR_BUDGET, |b| {
+                mcs_sweep(graphs, &pairs, connected, pruning, b)
+            });
             out.push(KernelBench {
                 kernel,
                 variant,
@@ -194,7 +205,7 @@ pub fn run_recorded(scale: usize, reps: usize, recorder: &Recorder) -> Vec<Kerne
             }
         };
         let median = time_median(reps, || sweep(&plain));
-        let probes = probes_of(sweep);
+        let probes = probes_of(PAIR_BUDGET, sweep);
         out.push(KernelBench {
             kernel: "iso",
             variant: "-",
@@ -220,6 +231,28 @@ pub fn run_recorded(scale: usize, reps: usize, recorder: &Recorder) -> Vec<Kerne
             reps: reps.max(1),
             probes: 0,
             pairs: n,
+        });
+    }
+
+    {
+        let _span = recorder.span("bench_kernels.ged");
+        let patterns = random_queries(graphs, WORKLOAD_GRAPHS, (3, 12), 5);
+        let ged_pairs = pair_indices(patterns.len());
+        let sweep = |budget: &SearchBudget| {
+            for &(i, j) in &ged_pairs {
+                let r = ged_with_budget(&patterns[i], &patterns[j], budget.clone());
+                std::hint::black_box(r.distance);
+            }
+        };
+        let median = time_median(reps, || sweep(&SearchBudget::nodes(DIV_GED_BUDGET)));
+        let probes = probes_of(DIV_GED_BUDGET, sweep);
+        out.push(KernelBench {
+            kernel: "ged",
+            variant: "-",
+            median,
+            reps: reps.max(1),
+            probes,
+            pairs: ged_pairs.len(),
         });
     }
 
@@ -263,8 +296,8 @@ mod tests {
     fn runs_and_serializes() {
         // Tiny run: harness correctness, not the numbers.
         let benches = run(1, 1);
-        // mcs/mccs × pruned/unpruned + iso + canonical.
-        assert_eq!(benches.len(), 6);
+        // mcs/mccs × pruned/unpruned + iso + canonical + ged.
+        assert_eq!(benches.len(), 7);
         let json = to_json(&benches);
         assert_eq!(
             catapult_obs::schema_version_of(&json),
@@ -273,6 +306,7 @@ mod tests {
         );
         assert!(json.contains("\"unpruned\""));
         assert!(json.contains("\"canonical\""));
+        assert!(json.contains("\"ged\""));
         assert!(json.contains("\"probes_per_sec\""));
     }
 

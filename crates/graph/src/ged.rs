@@ -14,18 +14,23 @@
 //! * [`ged_upper_bound`] — bipartite assignment heuristic (Riesen–Bunke
 //!   [32]): solve a vertex assignment with Hungarian, then charge the exact
 //!   induced edit cost of that vertex mapping (always a valid upper bound).
-//! * [`ged`] — exact depth-first branch-and-bound seeded with the upper
-//!   bound, under a [`SearchBudget`] for pathological cases: on a tripped
-//!   limit it returns the best-known *upper bound*, explicitly flagged via
+//! * [`ged_with_budget`] — exact depth-first branch-and-bound seeded with
+//!   the upper bound, under a [`SearchBudget`]: on a tripped limit it
+//!   returns the best-known *upper bound*, explicitly flagged via
 //!   [`GedResult::completeness`].
+//!
+//! The search decides A's vertices in descending-degree order, each onto
+//! an unused B vertex (same label first, then ascending id) or deleted.
+//! No node allocates or scans an adjacency list: vertex sets are bit rows
+//! over [`BitAdjacency`], so a branch's edge edits are two popcounts (see
+//! `GedSearch::descend`), and the label-multiset heuristic is kept up to
+//! date by ±1 as vertices are decided, so it is O(1).
 
+use crate::bitadj::BitAdjacency;
 use crate::budget::{BudgetMeter, Completeness, Kernel, SearchBudget};
 use crate::graph::{Graph, VertexId};
 use crate::labels::Label;
 use crate::matching::hungarian;
-
-/// Default backtracking-node cap for GED searches.
-pub const DEFAULT_NODE_CAP: u64 = 500_000;
 
 /// Result of a GED computation.
 ///
@@ -193,132 +198,94 @@ pub fn ged_upper_bound_mapping(a: &Graph, b: &Graph) -> (usize, Vec<Option<Verte
     (induced_edit_cost(a, b, &mapping), mapping)
 }
 
-struct GedSearch<'a> {
-    a: &'a Graph,
-    b: &'a Graph,
+/// `|x ∩ y|` for two bit rows of the same stride.
+#[inline]
+fn common(x: &[u64], y: &[u64]) -> usize {
+    let n: u32 = x.iter().zip(y).map(|(p, q)| (p & q).count_ones()).sum();
+    usize::try_from(n).unwrap_or(usize::MAX)
+}
+
+/// Toggle bit `i` of a bit row (sets a clear bit, clears a set one).
+#[inline]
+fn flip(row: &mut [u64], i: usize) {
+    row[i / 64] ^= 1 << (i % 64);
+}
+
+/// Take one vertex of label `l` out of `count` (`on`) or put it back,
+/// keeping `matched = Σ_l min(count[l], other[l])` in step.
+fn shift(count: &mut [usize], other: &[usize], l: usize, on: bool, matched: &mut usize) {
+    if on {
+        *matched -= usize::from(count[l] <= other[l]);
+        count[l] -= 1;
+    } else {
+        count[l] += 1;
+        *matched += usize::from(count[l] <= other[l]);
+    }
+}
+
+/// Depth-first branch-and-bound state. Vertex sets are bit rows, one bit
+/// per vertex: `a_decided` has A's stride, every other row B's (`bs`).
+struct GedSearch {
+    abits: BitAdjacency,
+    bbits: BitAdjacency,
+    bs: usize,
     order: Vec<VertexId>,
-    /// a-vertex → its position in `order` (O(1) decidedness checks).
-    pos: Vec<usize>,
-    /// `prefix_a_edges[d]` = number of A edges with both endpoints among
-    /// the first `d` ordered vertices (precomputed once; the order is
-    /// static).
-    prefix_a_edges: Vec<usize>,
-    /// Per-label running count of undecided A vertices / unused B
-    /// vertices, packed as parallel counts over the union label alphabet.
-    rem_a: Vec<i32>,
-    avail_b: Vec<i32>,
-    label_ids: std::collections::HashMap<Label, usize>,
+    /// `a_edges_left[d]`: A edges with an endpoint at order position ≥ d.
+    a_edges_left: Vec<usize>,
+    /// Dense label id of each vertex over the union label alphabet.
+    a_lid: Vec<usize>,
+    b_lid: Vec<usize>,
+    /// Per-label count of undecided A vertices / unused B vertices, and
+    /// `matched = Σ_l min(rem_a[l], avail_b[l])` kept in step with them.
+    rem_a: Vec<usize>,
+    avail_b: Vec<usize>,
+    matched: usize,
+    /// Rows `2d` / `2d + 1`: the B vertices with the same / another label
+    /// as `order[d]`, the two passes of its substitution branches.
+    targets: Vec<u64>,
+    /// Row `d`: the images of `order[d]`'s decided, mapped neighbours.
+    img: Vec<u64>,
     mapping: Vec<Option<VertexId>>,
-    /// b-vertex → a-vertex that maps onto it (for O(1) preimage lookups).
-    preimage: Vec<Option<VertexId>>,
-    b_used: Vec<bool>,
-    /// Number of used B vertices (incremental).
-    b_used_count: usize,
-    /// Number of B edges with both endpoints used (incremental).
-    b_edges_used: usize,
+    a_decided: Vec<u64>,
+    b_used: Vec<u64>,
+    /// Unused B vertices, and B edges with an unused endpoint.
+    b_left: usize,
+    b_edges_left: usize,
     best: usize,
     meter: BudgetMeter,
 }
 
-impl<'a> GedSearch<'a> {
-    fn label_id(&self, l: Label) -> usize {
-        self.label_ids[&l]
-    }
-
-    /// Incremental cost of deciding `v` (the vertex at `depth`):
-    /// counts vertex cost plus edge costs between `v` and already-decided
-    /// vertices on both sides.
-    fn step_cost(&self, v: VertexId, target: Option<VertexId>, depth: usize) -> usize {
-        let mut c = 0usize;
-        match target {
-            None => {
-                c += 1; // deletion
-                for &(w, _) in self.a.neighbors(v) {
-                    if self.pos[w.index()] < depth {
-                        c += 1; // edge (v,w) deleted
-                    }
-                }
-            }
-            Some(t) => {
-                if self.a.label(v) != self.b.label(t) {
-                    c += 1;
-                }
-                for &(w, _) in self.a.neighbors(v) {
-                    if self.pos[w.index()] >= depth {
-                        continue;
-                    }
-                    match self.mapping[w.index()] {
-                        Some(x) if self.b.has_edge(x, t) => {} // matched
-                        _ => c += 1,                           // deleted
-                    }
-                }
-                // B-side insertions: edges from t to already-used images
-                // with no corresponding A edge.
-                for &(y, _) in self.b.neighbors(t) {
-                    if !self.b_used[y.index()] {
-                        continue;
-                    }
-                    match self.preimage[y.index()] {
-                        Some(w) if self.a.has_edge(w, v) => {} // matched above
-                        Some(_) => c += 1,                     // inserted
-                        None => {}
-                    }
-                }
-            }
-        }
-        c
-    }
-
+impl GedSearch {
     /// Admissible heuristic on the remaining subproblem: label-multiset
     /// vertex bound + |remaining-edge-count| difference.
     fn heuristic(&self, depth: usize) -> usize {
         let ra = self.order.len() - depth;
-        let rb = self.b.vertex_count() - self.b_used_count;
-        let mut matched = 0usize;
-        for (x, y) in self.rem_a.iter().zip(&self.avail_b) {
-            matched += usize::try_from((*x).min(*y)).unwrap_or(0);
+        let ea = self.a_edges_left[depth];
+        ra.max(self.b_left) - self.matched + ea.abs_diff(self.b_edges_left)
+    }
+
+    fn decide_a(&mut self, v: VertexId, on: bool) {
+        flip(&mut self.a_decided, v.index());
+        let l = self.a_lid[v.index()];
+        shift(&mut self.rem_a, &self.avail_b, l, on, &mut self.matched);
+    }
+
+    /// Use (`on`) or release B vertex `t`, which has `used_nb` used
+    /// neighbours.
+    fn use_b(&mut self, t: VertexId, used_nb: usize, on: bool) {
+        flip(&mut self.b_used, t.index());
+        let l = self.b_lid[t.index()];
+        shift(&mut self.avail_b, &self.rem_a, l, on, &mut self.matched);
+        if on {
+            self.b_left -= 1;
+            self.b_edges_left -= used_nb;
+        } else {
+            self.b_left += 1;
+            self.b_edges_left += used_nb;
         }
-        let v_h = ra.max(rb) - matched.min(ra.min(rb));
-        let ea = self.a.edge_count() - self.prefix_a_edges[depth];
-        let eb = self.b.edge_count() - self.b_edges_used;
-        v_h + ea.abs_diff(eb)
     }
 
-    fn completion_cost(&self) -> usize {
-        // All A vertices decided; unused B vertices and their incident
-        // edges are insertions.
-        let unused = self.b.vertex_count() - self.b_used_count;
-        unused + (self.b.edge_count() - self.b_edges_used)
-    }
-
-    fn use_b(&mut self, t: VertexId, v: VertexId) {
-        self.b_used[t.index()] = true;
-        self.b_used_count += 1;
-        self.preimage[t.index()] = Some(v);
-        let lid = self.label_id(self.b.label(t));
-        self.avail_b[lid] -= 1;
-        self.b_edges_used += self
-            .b
-            .neighbors(t)
-            .iter()
-            .filter(|(y, _)| self.b_used[y.index()])
-            .count();
-    }
-
-    fn release_b(&mut self, t: VertexId) {
-        self.b_edges_used -= self
-            .b
-            .neighbors(t)
-            .iter()
-            .filter(|(y, _)| self.b_used[y.index()])
-            .count();
-        self.b_used[t.index()] = false;
-        self.b_used_count -= 1;
-        self.preimage[t.index()] = None;
-        let lid = self.label_id(self.b.label(t));
-        self.avail_b[lid] += 1;
-    }
-
+    /// Expand the node deciding `order[depth]`, `g` edits into the path.
     fn descend(&mut self, depth: usize, g: usize) {
         if self.meter.tick() {
             return;
@@ -327,42 +294,68 @@ impl<'a> GedSearch<'a> {
             return;
         }
         if depth == self.order.len() {
-            let total = g + self.completion_cost();
+            // Unused B vertices and their incident edges are insertions.
+            let total = g + self.b_left + self.b_edges_left;
             if total < self.best {
                 self.best = total;
                 self.meter.note_improvement();
             }
             return;
         }
-        let v = self.order[depth];
-        let v_label_id = self.label_id(self.a.label(v));
-        self.rem_a[v_label_id] -= 1;
-        // Substitution branches, same-label targets first.
-        let mut targets: Vec<VertexId> = self
-            .b
-            .vertices()
-            .filter(|t| !self.b_used[t.index()])
-            .collect();
-        targets.sort_by_key(|&t| self.b.label(t) != self.a.label(v));
-        for t in targets {
-            let dc = self.step_cost(v, Some(t), depth);
-            if g + dc >= self.best {
-                continue;
+        let (v, bs) = (self.order[depth], self.bs);
+        // v's decided neighbours: `dn` of them, mapped ones onto `img`.
+        let dn = common(self.abits.row(v), &self.a_decided);
+        let img = &mut self.img[depth * bs..(depth + 1) * bs];
+        img.fill(0);
+        let mut base = 0u32;
+        for (&nv, &dec) in self.abits.row(v).iter().zip(&self.a_decided) {
+            let mut bits = nv & dec;
+            while bits != 0 {
+                if let Some(x) = self.mapping[VertexId(base + bits.trailing_zeros()).index()] {
+                    flip(img, x.index());
+                }
+                bits &= bits - 1;
             }
-            self.mapping[v.index()] = Some(t);
-            self.use_b(t, v);
-            self.descend(depth + 1, g + dc);
-            self.release_b(t);
-            self.mapping[v.index()] = None;
-            if self.meter.tripped() {
-                self.rem_a[v_label_id] += 1;
-                return;
+            base += 64;
+        }
+        self.decide_a(v, true);
+        // Substitution branches: same-label targets first, each pass in
+        // ascending id. Children restore `b_used`, so each word read
+        // here is the set of targets unused on entry.
+        for pass in 0..2 {
+            let mut base = 0u32;
+            for wi in 0..bs {
+                let mut bits = self.targets[(2 * depth + pass) * bs + wi] & !self.b_used[wi];
+                while bits != 0 {
+                    let t = VertexId(base + bits.trailing_zeros());
+                    bits &= bits - 1;
+                    // m of v's dn decided neighbours map onto neighbours of
+                    // t; the other dn − m edges are deleted, and the
+                    // used_nb − m edges from t to used vertices that no
+                    // A edge maps onto are inserted.
+                    let nt = self.bbits.row(t);
+                    let m = common(nt, &self.img[depth * bs..(depth + 1) * bs]);
+                    let used_nb = common(nt, &self.b_used);
+                    let dc = pass + (dn - m) + (used_nb - m);
+                    if g + dc >= self.best {
+                        continue;
+                    }
+                    self.mapping[v.index()] = Some(t);
+                    self.use_b(t, used_nb, true);
+                    self.descend(depth + 1, g + dc);
+                    self.use_b(t, used_nb, false);
+                    self.mapping[v.index()] = None;
+                    if self.meter.tripped() {
+                        self.decide_a(v, false);
+                        return;
+                    }
+                }
+                base += 64;
             }
         }
-        // Deletion branch.
-        let dc = self.step_cost(v, None, depth);
-        self.descend(depth + 1, g + dc);
-        self.rem_a[v_label_id] += 1;
+        // Deletion branch: v and its edges to decided vertices go.
+        self.descend(depth + 1, g + 1 + dn);
+        self.decide_a(v, false);
     }
 }
 
@@ -391,43 +384,51 @@ pub fn ged_with_budget(a: &Graph, b: &Graph, budget: impl Into<SearchBudget>) ->
     for (i, &v) in order.iter().enumerate() {
         pos[v.index()] = i;
     }
-    // prefix_a_edges[d]: A edges with both endpoint positions < d.
-    let mut prefix_a_edges = vec![0usize; order.len() + 1];
+    let mut a_edges_left = vec![0usize; order.len() + 1];
     for (_, e) in a.edges() {
-        let later = pos[e.u.index()].max(pos[e.v.index()]);
-        prefix_a_edges[later + 1] += 1;
+        a_edges_left[pos[e.u.index()].max(pos[e.v.index()])] += 1;
     }
-    for d in 1..prefix_a_edges.len() {
-        prefix_a_edges[d] += prefix_a_edges[d - 1];
+    for d in (0..order.len()).rev() {
+        a_edges_left[d] += a_edges_left[d + 1];
     }
-    // Union label alphabet with per-side counts.
+    // Dense label ids over the union alphabet, with per-side counts.
     let mut label_ids = std::collections::HashMap::new();
-    for l in a.labels().iter().chain(b.labels()) {
+    let mut lid = |l: &Label| {
         let next = label_ids.len();
-        label_ids.entry(*l).or_insert(next);
-    }
-    let mut rem_a = vec![0i32; label_ids.len()];
-    let mut avail_b = vec![0i32; label_ids.len()];
-    for &l in a.labels() {
-        rem_a[label_ids[&l]] += 1;
-    }
-    for &l in b.labels() {
-        avail_b[label_ids[&l]] += 1;
+        *label_ids.entry(*l).or_insert(next)
+    };
+    let a_lid: Vec<usize> = a.labels().iter().map(&mut lid).collect();
+    let b_lid: Vec<usize> = b.labels().iter().map(&mut lid).collect();
+    let mut rem_a = vec![0; label_ids.len()];
+    let mut avail_b = vec![0; label_ids.len()];
+    a_lid.iter().for_each(|&l| rem_a[l] += 1);
+    b_lid.iter().for_each(|&l| avail_b[l] += 1);
+    let bs = b.vertex_count().div_ceil(64);
+    let mut targets = vec![0; 2 * order.len() * bs];
+    for (d, v) in order.iter().enumerate() {
+        for (t, &l) in b_lid.iter().enumerate() {
+            let pass = usize::from(l != a_lid[v.index()]);
+            flip(&mut targets[(2 * d + pass) * bs..], t);
+        }
     }
     let mut s = GedSearch {
-        a,
-        b,
+        abits: BitAdjacency::new(a),
+        bbits: BitAdjacency::new(b),
+        bs,
+        img: vec![0; order.len() * bs],
         order,
-        pos,
-        prefix_a_edges,
+        a_edges_left,
+        a_lid,
+        b_lid,
+        matched: rem_a.iter().zip(&avail_b).map(|(x, y)| *x.min(y)).sum(),
         rem_a,
         avail_b,
-        label_ids,
+        targets,
         mapping: vec![None; a.vertex_count()],
-        preimage: vec![None; b.vertex_count()],
-        b_used: vec![false; b.vertex_count()],
-        b_used_count: 0,
-        b_edges_used: 0,
+        a_decided: vec![0; a.vertex_count().div_ceil(64)],
+        b_used: vec![0; bs],
+        b_left: b.vertex_count(),
+        b_edges_left: b.edge_count(),
         best: ub + 1, // allow rediscovering ub exactly
         meter: BudgetMeter::new(&budget.into(), Kernel::Ged),
     };
@@ -440,11 +441,6 @@ pub fn ged_with_budget(a: &Graph, b: &Graph, budget: impl Into<SearchBudget>) ->
         distance,
         completeness: s.meter.status(),
     }
-}
-
-/// Exact GED with the default node cap ([`DEFAULT_NODE_CAP`] expansions).
-pub fn ged(a: &Graph, b: &Graph) -> GedResult {
-    ged_with_budget(a, b, DEFAULT_NODE_CAP)
 }
 
 #[cfg(test)]
@@ -471,7 +467,7 @@ mod tests {
     #[test]
     fn identical_graphs_distance_zero() {
         let g = cycle(5);
-        let r = ged(&g, &g);
+        let r = ged_with_budget(&g, &g, 100_000u64);
         assert!(r.is_exact());
         assert_eq!(r.distance, 0);
         assert_eq!(ged_lower_bound(&g, &g), 0);
@@ -483,7 +479,7 @@ mod tests {
         // path of n → cycle of n: insert one edge.
         let p = path(5);
         let c = cycle(5);
-        let r = ged(&p, &c);
+        let r = ged_with_budget(&p, &c, 100_000u64);
         assert!(r.is_exact());
         assert_eq!(r.distance, 1);
     }
@@ -492,7 +488,7 @@ mod tests {
     fn relabel_one_vertex() {
         let a = Graph::from_parts(&[l(0), l(0), l(0)], &[(0, 1), (1, 2)]);
         let b = Graph::from_parts(&[l(0), l(1), l(0)], &[(0, 1), (1, 2)]);
-        let r = ged(&a, &b);
+        let r = ged_with_budget(&a, &b, 100_000u64);
         assert!(r.is_exact());
         assert_eq!(r.distance, 1);
     }
@@ -510,7 +506,7 @@ mod tests {
         ];
         for (a, b) in &cases {
             let lb = ged_lower_bound(a, b);
-            let exact = ged(a, b);
+            let exact = ged_with_budget(a, b, 100_000u64);
             let ub = ged_upper_bound(a, b);
             assert!(exact.is_exact());
             assert!(lb <= exact.distance, "lb={lb} d={}", exact.distance);
@@ -522,8 +518,8 @@ mod tests {
     fn symmetry() {
         let a = path(4);
         let b = cycle(5);
-        let d1 = ged(&a, &b);
-        let d2 = ged(&b, &a);
+        let d1 = ged_with_budget(&a, &b, 100_000u64);
+        let d2 = ged_with_budget(&b, &a, 100_000u64);
         assert!(d1.is_exact() && d2.is_exact());
         assert_eq!(d1.distance, d2.distance);
     }
@@ -531,7 +527,7 @@ mod tests {
     #[test]
     fn deletion_and_insertion() {
         // path(3) → path(2): delete one vertex + one edge = 2.
-        let r = ged(&path(3), &path(2));
+        let r = ged_with_budget(&path(3), &path(2), 100_000u64);
         assert!(r.is_exact());
         assert_eq!(r.distance, 2);
     }
@@ -567,10 +563,10 @@ mod tests {
     fn generous_budget_matches_unbudgeted_answer() {
         let a = path(5);
         let b = cycle(6);
-        let default = ged(&a, &b);
+        let capped = ged_with_budget(&a, &b, 100_000u64);
         let generous = ged_with_budget(&a, &b, 100_000_000u64);
-        assert!(default.is_exact() && generous.is_exact());
-        assert_eq!(default.distance, generous.distance);
+        assert!(capped.is_exact() && generous.is_exact());
+        assert_eq!(capped.distance, generous.distance);
     }
 
     #[test]
@@ -609,10 +605,34 @@ mod tests {
     #[test]
     fn empty_graphs() {
         let e = Graph::new();
-        let r = ged(&e, &e);
+        let r = ged_with_budget(&e, &e, 100_000u64);
         assert_eq!(r.distance, 0);
         let one = path(2);
-        let r2 = ged(&e, &one);
+        let r2 = ged_with_budget(&e, &one, 100_000u64);
         assert_eq!(r2.distance, 3); // 2 vertices + 1 edge inserted
+    }
+
+    #[test]
+    fn wide_pair_is_searched_over_multi_word_rows() {
+        // 66 uniquely labeled vertices: every bit row spans two words.
+        // B moves one path edge to join the two ends, so lb = 0 < GED = 2
+        // (any single edit changes the label multiset or the edge count).
+        let labels: Vec<Label> = (0..66).map(l).collect();
+        let path_edges: Vec<(u32, u32)> = (0..65).map(|i| (i, i + 1)).collect();
+        let mut moved = path_edges.clone();
+        moved.retain(|&e| e != (30, 31));
+        moved.push((0, 65));
+        let a = Graph::from_parts(&labels, &path_edges);
+        let b = Graph::from_parts(&labels, &moved);
+        assert_eq!((ged_lower_bound(&a, &b), ged_upper_bound(&a, &b)), (0, 2));
+        // The search proves the seed optimal within the 200-node cap; an
+        // undercounted edge cost anywhere in the wide rows would show up
+        // as a distance below 2.
+        let r = ged_with_budget(&a, &b, 200u64);
+        assert!(r.is_exact());
+        assert_eq!(r.distance, 2);
+        let cut = ged_with_budget(&a, &b, 50u64);
+        assert_eq!(cut.completeness, Completeness::BudgetExhausted);
+        assert_eq!(cut.distance, 2);
     }
 }
