@@ -286,8 +286,8 @@ mod tests {
     #[test]
     fn round_trips_through_json() {
         let mut r = report(vec![
-            diag("cast-truncation", "a.rs", 1, "x as u32"),
-            diag("cast-truncation", "a.rs", 5, "y as u16"),
+            diag("float-eq", "a.rs", 1, "x == 1.0"),
+            diag("float-eq", "a.rs", 5, "y != 0.5"),
         ]);
         r.finalize();
         let b = Baseline::from_report(&r);

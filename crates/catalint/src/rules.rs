@@ -1,31 +1,29 @@
-//! The lint rules, ported and new, all running on the token tree.
+//! The per-file lint rules, all running on the token tree (immune to
+//! lookalike text in strings and comments).
 //!
-//! **Ported rules** (1–7 of the old line-based pass — same names, same
-//! escape hatch, now immune to lookalike text in strings and comments):
-//! `kernel-no-panic`, `doc-coverage`, `float-eq`, `lint-header`,
-//! `consume-completeness`, `no-raw-spawn`, `metric-name`, `raw-instant`.
+//! These are the checks clippy cannot express; the root `clippy.toml`
+//! and per-file lint attributes enforce the rest (DESIGN.md §12).
 //!
-//! **Determinism rules** (new): `hash-iter-order`, `float-total-order`,
-//! `cast-truncation`. CATAPULT's pattern scores are products of small
-//! f64 factors (ccov × lcov × div / cog, paper §5) consumed by a greedy
-//! argmax, and the workspace guarantees byte-identical `SelectionResult`
-//! and run manifests across `threads ∈ {1,2,8}`. Hash-map iteration
-//! order, float comparators without a total order, and silently
-//! truncating casts are exactly the hazards that break that guarantee
-//! *before* a golden test can flake — these rules catch them at lint
-//! time.
+//! **Convention rules**: `float-eq`, `lint-header`,
+//! `consume-completeness`, `metric-name`.
 //!
-//! **Concurrency rules** (new): `interior-mutability` (shared state is
-//! only allowed where the execution model owns it), `lock-order` (any
-//! scope taking two locks is flagged so acquisition order stays
-//! centrally auditable).
+//! **Determinism rules**: `hash-iter-order`, `float-total-order`.
+//! CATAPULT's pattern scores are products of small f64 factors
+//! (ccov × lcov × div / cog, paper §5) consumed by a greedy argmax, and
+//! the workspace guarantees byte-identical `SelectionResult` and run
+//! manifests across `threads ∈ {1,2,8}`. Hash-map iteration order and
+//! float comparators without a total order are exactly the hazards that
+//! break that guarantee *before* a golden test can flake — these rules
+//! catch them at lint time.
+//!
+//! **Concurrency rule**: `lock-order` (any scope taking two locks is
+//! flagged so acquisition order stays centrally auditable).
 
 use crate::diag::{Diagnostic, Suppression};
 use crate::lexer::TokenKind;
 use crate::scan::SourceFile;
 use crate::timing::RuleTimer;
 use std::collections::BTreeSet;
-use std::path::Path;
 
 /// Name and one-line summary of a rule (for `--rule` validation and the
 /// JSON report).
@@ -40,14 +38,6 @@ pub struct RuleInfo {
 /// Every rule, in the order findings are reported.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        name: "kernel-no-panic",
-        summary: "search kernels must not panic!/unwrap outside tests",
-    },
-    RuleInfo {
-        name: "doc-coverage",
-        summary: "public items in graph/core carry doc comments",
-    },
-    RuleInfo {
         name: "float-eq",
         summary: "no ==/!= against float literals in scoring code",
     },
@@ -60,17 +50,9 @@ pub const RULES: &[RuleInfo] = &[
         summary: "pipeline code must not drop kernel Completeness tags",
     },
     RuleInfo {
-        name: "no-raw-spawn",
-        summary: "thread::spawn only inside the rayon shim",
-    },
-    RuleInfo {
         name: "metric-name",
         summary:
             "metric/flight-event names follow stage.kernel.metric; no raw eprintln in pipeline code",
-    },
-    RuleInfo {
-        name: "raw-instant",
-        summary: "Instant::now only inside crates/obs and the shims",
     },
     RuleInfo {
         name: "hash-iter-order",
@@ -81,20 +63,8 @@ pub const RULES: &[RuleInfo] = &[
         summary: "f64 comparators go through total_cmp",
     },
     RuleInfo {
-        name: "cast-truncation",
-        summary: "no narrowing `as` casts in kernel/index arithmetic",
-    },
-    RuleInfo {
-        name: "interior-mutability",
-        summary: "shared/global state only in sanctioned modules",
-    },
-    RuleInfo {
         name: "lock-order",
         summary: "scopes taking two locks are flagged for order audit",
-    },
-    RuleInfo {
-        name: "unwind-safety",
-        summary: "catch_unwind/resume_unwind only in shims/rayon and crates/ckpt",
     },
 ];
 
@@ -106,23 +76,12 @@ pub fn rule_named(name: &str) -> Option<&'static RuleInfo> {
 
 /// Per-file context the path predicates cannot derive alone.
 #[derive(Debug)]
-pub struct FileCtx<'a> {
-    /// Absolute workspace root (for sibling-file doc resolution).
-    pub root: &'a Path,
+pub struct FileCtx {
     /// Whether this file is a crate root (`lint-header` target).
     pub is_crate_root: bool,
 }
 
 // ---- scopes ------------------------------------------------------------
-
-/// Files holding the NP-hard search kernels.
-pub(crate) const KERNEL_FILES: &[&str] = &[
-    "crates/graph/src/iso.rs",
-    "crates/graph/src/mcs.rs",
-    "crates/graph/src/ged.rs",
-    "crates/core/src/walk.rs",
-    "crates/core/src/select.rs",
-];
 
 /// Files holding f64 scoring arithmetic.
 const SCORING_FILES: &[&str] = &[
@@ -131,12 +90,6 @@ const SCORING_FILES: &[&str] = &[
     "crates/core/src/budget.rs",
     "crates/csg/src/weights.rs",
 ];
-
-/// Index-arithmetic files additionally covered by `cast-truncation`.
-const CAST_EXTRA_FILES: &[&str] = &["crates/csg/src/idset.rs"];
-
-/// Dirs whose public items must be documented.
-const DOC_COVERED_DIRS: &[&str] = &["crates/graph/src/", "crates/core/src/"];
 
 /// Pipeline dirs that must consume `Completeness` (graph defines the
 /// swallowing conveniences and is exempt).
@@ -147,16 +100,6 @@ pub(crate) const COMPLETENESS_DIRS: &[&str] = &[
     "crates/eval/src/",
     "crates/mining/src/",
     "src/",
-];
-
-/// Modules sanctioned to own shared state: the fault-injection plans
-/// (kernel faults in the budget module, persistence faults in the
-/// checkpoint crate), the observability crate, and the executor shim.
-const INTERIOR_MUT_ALLOWED: &[&str] = &[
-    "crates/graph/src/budget.rs",
-    "crates/ckpt/src/fault.rs",
-    "crates/obs/",
-    "shims/rayon/",
 ];
 
 /// The agreed crate-root marker line.
@@ -178,7 +121,7 @@ pub(crate) fn is_library_src(rel: &str) -> bool {
 /// Run every enabled rule over one file.
 pub fn check_file(
     f: &SourceFile,
-    ctx: &FileCtx<'_>,
+    ctx: &FileCtx,
     enabled: &BTreeSet<&'static str>,
     out: &mut Vec<Diagnostic>,
 ) {
@@ -188,7 +131,7 @@ pub fn check_file(
 /// [`check_file`] with per-rule wall-clock accounting (`--timing`).
 pub fn check_file_timed(
     f: &SourceFile,
-    ctx: &FileCtx<'_>,
+    ctx: &FileCtx,
     enabled: &BTreeSet<&'static str>,
     out: &mut Vec<Diagnostic>,
     timer: &mut RuleTimer,
@@ -196,12 +139,6 @@ pub fn check_file_timed(
     let rel = f.rel.as_str();
     let on = |name: &str| enabled.contains(name);
 
-    if on("kernel-no-panic") && KERNEL_FILES.contains(&rel) {
-        timer.time("kernel-no-panic", || kernel_no_panic(f, out));
-    }
-    if on("doc-coverage") && in_dirs(rel, DOC_COVERED_DIRS) {
-        timer.time("doc-coverage", || doc_coverage(f, ctx, out));
-    }
     if on("float-eq") && SCORING_FILES.contains(&rel) {
         timer.time("float-eq", || float_eq(f, out));
     }
@@ -211,11 +148,7 @@ pub fn check_file_timed(
     if on("consume-completeness") && in_dirs(rel, COMPLETENESS_DIRS) {
         timer.time("consume-completeness", || consume_completeness(f, out));
     }
-    if on("no-raw-spawn") && !rel.starts_with("shims/rayon/") {
-        timer.time("no-raw-spawn", || no_raw_spawn(f, out));
-    }
-    let obs_scope = !rel.starts_with("crates/obs/") && !rel.starts_with("shims/");
-    if on("metric-name") && obs_scope {
+    if on("metric-name") && !rel.starts_with("crates/obs/") && !rel.starts_with("shims/") {
         // CLI-style binaries (`/bin/`), xtask, and catalint itself talk
         // to a terminal on purpose; the eprintln ban covers library
         // pipeline code only, where stderr output should flow through
@@ -226,28 +159,14 @@ pub fn check_file_timed(
             && !rel.starts_with("crates/catalint/");
         timer.time("metric-name", || metric_name(f, forbid_eprintln, out));
     }
-    if on("raw-instant") && obs_scope {
-        timer.time("raw-instant", || raw_instant(f, out));
-    }
     if on("hash-iter-order") && is_library_src(rel) {
         timer.time("hash-iter-order", || hash_iter_order(f, out));
     }
     if on("float-total-order") && is_library_src(rel) {
         timer.time("float-total-order", || float_total_order(f, out));
     }
-    if on("cast-truncation") && (KERNEL_FILES.contains(&rel) || CAST_EXTRA_FILES.contains(&rel)) {
-        timer.time("cast-truncation", || cast_truncation(f, out));
-    }
-    if on("interior-mutability") && is_library_src(rel) && !in_dirs(rel, INTERIOR_MUT_ALLOWED) {
-        timer.time("interior-mutability", || interior_mutability(f, out));
-    }
     if on("lock-order") {
         timer.time("lock-order", || lock_order(f, out));
-    }
-    let unwind_scope =
-        is_library_src(rel) && !rel.starts_with("shims/rayon/") && !rel.starts_with("crates/ckpt/");
-    if on("unwind-safety") && unwind_scope {
-        timer.time("unwind-safety", || unwind_safety(f, out));
     }
 }
 
@@ -284,161 +203,7 @@ fn emit_at(
     });
 }
 
-// ---- ported rules ------------------------------------------------------
-
-/// Rule `kernel-no-panic`: no `panic!` / `.unwrap()` in kernel files
-/// outside `#[cfg(test)]` items.
-fn kernel_no_panic(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for ci in 0..f.n_code() {
-        if f.in_test(ci) {
-            continue;
-        }
-        if f.is_ident(ci, "panic") && f.is_punct(ci + 1, "!") {
-            emit(
-                f,
-                ci,
-                "kernel-no-panic",
-                "`panic!` in a search kernel outside #[cfg(test)] aborts a whole \
-                 selection run; return an error or degrade via the SearchBudget"
-                    .into(),
-                out,
-            );
-        }
-        if f.is_punct(ci, ".") && f.is_ident(ci + 1, "unwrap") && f.is_punct(ci + 2, "(") {
-            emit(
-                f,
-                ci + 1,
-                "kernel-no-panic",
-                "`.unwrap()` in a search kernel outside #[cfg(test)]; handle the \
-                 None/Err arm explicitly"
-                    .into(),
-                out,
-            );
-        }
-    }
-}
-
-/// Item keywords whose `pub` form needs a doc comment.
-const DOC_ITEM_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "const", "type", "mod"];
-
-/// Rule `doc-coverage`: public items in the covered crates carry a doc
-/// comment (`///` line docs, `/** */` block docs, or a `#[doc]`
-/// attribute; `pub mod x;` counts when `x.rs` opens with `//!`).
-fn doc_coverage(f: &SourceFile, ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
-    for ci in 0..f.n_code() {
-        if f.in_test(ci) || !f.is_ident(ci, "pub") {
-            continue;
-        }
-        if f.is_punct(ci + 1, "(") {
-            continue; // `pub(crate)` and friends are crate-internal.
-        }
-        if ci + 1 >= f.n_code() || f.ckind(ci + 1) != TokenKind::Ident {
-            continue;
-        }
-        let kw = f.ctext(ci + 1);
-        if !DOC_ITEM_KINDS.contains(&kw) {
-            continue;
-        }
-        if has_doc_above(f, ci) || (kw == "mod" && mod_file_has_inner_docs(f, ctx, ci + 2)) {
-            continue;
-        }
-        let item: String = (ci..f.n_code().min(ci + 3))
-            .map(|i| f.ctext(i))
-            .collect::<Vec<_>>()
-            .join(" ");
-        emit(
-            f,
-            ci,
-            "doc-coverage",
-            format!("undocumented public item: `{item} …`"),
-            out,
-        );
-    }
-}
-
-/// Walk the raw token stream upwards from the `pub` token, skipping
-/// whitespace and attribute stacks, looking for a doc comment.
-fn has_doc_above(f: &SourceFile, pub_ci: usize) -> bool {
-    let mut ri = f.raw_index(pub_ci);
-    while ri > 0 {
-        ri -= 1;
-        let t = f.tokens[ri];
-        match t.kind {
-            TokenKind::Whitespace => continue,
-            TokenKind::LineComment => {
-                let text = t.text(&f.text);
-                if text.starts_with("///") {
-                    return true;
-                }
-                continue; // plain comments between docs and item are fine
-            }
-            TokenKind::BlockComment => {
-                if t.text(&f.text).starts_with("/**") {
-                    return true;
-                }
-                continue;
-            }
-            TokenKind::Punct if t.text(&f.text) == "]" => {
-                // Skip an attribute stack `#[…]`; `#[doc…]` documents.
-                let Some(close_ci) = raw_to_code(f, ri) else {
-                    return false;
-                };
-                let Some(open_ci) = f.cmatch(close_ci) else {
-                    return false;
-                };
-                if f.is_ident(open_ci + 1, "doc") {
-                    return true;
-                }
-                let open_ri = f.raw_index(open_ci);
-                if open_ri == 0 {
-                    return false;
-                }
-                ri = open_ri - 1; // step over `#` next iteration
-                if f.tokens[ri].text(&f.text) == "#" {
-                    continue;
-                }
-                return false;
-            }
-            _ => return false,
-        }
-    }
-    false
-}
-
-/// Map a raw token index back to its code index (None for trivia).
-fn raw_to_code(f: &SourceFile, ri: usize) -> Option<usize> {
-    (0..f.n_code()).find(|&ci| f.raw_index(ci) == ri)
-}
-
-/// `pub mod x;` counts as documented when `x.rs` (or `x/mod.rs`) opens
-/// with `//!` / `/*!` inner docs — the shape `missing_docs` accepts.
-fn mod_file_has_inner_docs(f: &SourceFile, ctx: &FileCtx<'_>, name_ci: usize) -> bool {
-    if name_ci >= f.n_code() || !f.is_punct(name_ci + 1, ";") {
-        return false;
-    }
-    let name = f.ctext(name_ci);
-    let dir = match Path::new(&f.rel).parent() {
-        Some(d) => ctx.root.join(d),
-        None => return false,
-    };
-    for candidate in [
-        dir.join(format!("{name}.rs")),
-        dir.join(name).join("mod.rs"),
-    ] {
-        if let Ok(text) = std::fs::read_to_string(&candidate) {
-            let opens_with_docs = text
-                .lines()
-                .find(|l| !l.trim().is_empty())
-                .is_some_and(|l| {
-                    l.trim_start().starts_with("//!") || l.trim_start().starts_with("/*!")
-                });
-            if opens_with_docs {
-                return true;
-            }
-        }
-    }
-    false
-}
+// ---- convention rules --------------------------------------------------
 
 /// Rule `float-eq`: no `==`/`!=` where either side is a float literal.
 fn float_eq(f: &SourceFile, out: &mut Vec<Diagnostic>) {
@@ -484,14 +249,7 @@ fn lint_header(f: &SourceFile, out: &mut Vec<Diagnostic>) {
 }
 
 /// Completeness-swallowing kernel conveniences.
-pub(crate) const SWALLOWING_KERNELS: &[&str] = &[
-    "contains",
-    "are_isomorphic",
-    "mcs_similarity",
-    "mccs_similarity",
-    "find_embedding",
-    "embeddings",
-];
+pub(crate) const SWALLOWING_KERNELS: &[&str] = &["contains", "are_isomorphic"];
 
 /// Rule `consume-completeness`: pipeline code must call the
 /// `_tagged`/audited kernel variants, not the tag-dropping conveniences.
@@ -520,30 +278,6 @@ fn consume_completeness(f: &SourceFile, out: &mut Vec<Diagnostic>) {
             ),
             out,
         );
-    }
-}
-
-/// Rule `no-raw-spawn`: `thread::spawn` only inside the rayon shim,
-/// which owns pool sizing, ordered collection, and panic propagation.
-/// Test code is *not* exempt — a stray spawn leaks threads there too.
-fn no_raw_spawn(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for ci in 0..f.n_code() {
-        if f.is_ident(ci, "thread")
-            && f.is_punct(ci + 1, "::")
-            && f.is_ident(ci + 2, "spawn")
-            && f.is_punct(ci + 3, "(")
-        {
-            emit(
-                f,
-                ci,
-                "no-raw-spawn",
-                "`thread::spawn` outside shims/rayon bypasses the pool size, ordered \
-                 collection, and panic propagation; use par_iter/join or annotate \
-                 `// xtask-allow: no-raw-spawn`"
-                    .into(),
-                out,
-            );
-        }
     }
 }
 
@@ -618,33 +352,6 @@ fn valid_metric_name(name: &str) -> bool {
                 && p.bytes()
                     .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
         })
-}
-
-/// Rule `raw-instant`: no `Instant::now()` outside `crates/obs` and the
-/// shims — ad-hoc clocks bypass the recorder epoch and the deadline
-/// plumbing.
-fn raw_instant(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for ci in 0..f.n_code() {
-        if f.in_test(ci) {
-            continue;
-        }
-        if f.is_ident(ci, "Instant")
-            && f.is_punct(ci + 1, "::")
-            && f.is_ident(ci + 2, "now")
-            && f.is_punct(ci + 3, "(")
-        {
-            emit(
-                f,
-                ci,
-                "raw-instant",
-                "`Instant::now()` outside crates/obs bypasses the recorder epoch; \
-                 use catapult_obs::now()/Stopwatch or a span, or annotate \
-                 `// xtask-allow: raw-instant`"
-                    .into(),
-                out,
-            );
-        }
-    }
 }
 
 // ---- determinism rules -------------------------------------------------
@@ -901,106 +608,7 @@ fn float_total_order(f: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Integer types an `as` cast may silently truncate into.
-const NARROW_INT_TYPES: &[&str] = &[
-    "u8", "u16", "u32", "usize", "i8", "i16", "i32", "i64", "isize",
-];
-
-/// Rule `cast-truncation`: `as` casts to narrow integer types in kernel
-/// and index arithmetic silently wrap on overflow; use `try_into` with a
-/// handled error, or a checked helper. Grandfathered sites live in the
-/// baseline until burned down.
-fn cast_truncation(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for ci in 0..f.n_code() {
-        if f.in_test(ci) {
-            continue;
-        }
-        if f.is_ident(ci, "as")
-            && ci + 1 < f.n_code()
-            && f.ckind(ci + 1) == TokenKind::Ident
-            && NARROW_INT_TYPES.contains(&f.ctext(ci + 1))
-        {
-            emit(
-                f,
-                ci,
-                "cast-truncation",
-                format!(
-                    "`as {}` in kernel/index arithmetic truncates silently on \
-                     overflow; prefer `try_into` with a handled error or widen the \
-                     intermediate type",
-                    f.ctext(ci + 1)
-                ),
-                out,
-            );
-        }
-    }
-}
-
-// ---- concurrency rules -------------------------------------------------
-
-/// Type names that introduce shared or interior-mutable state.
-const INTERIOR_MUT_TYPES: &[&str] = &[
-    "Cell",
-    "RefCell",
-    "UnsafeCell",
-    "OnceCell",
-    "LazyCell",
-    "Mutex",
-    "RwLock",
-    "Condvar",
-    "OnceLock",
-    "LazyLock",
-    "AtomicBool",
-    "AtomicU8",
-    "AtomicU16",
-    "AtomicU32",
-    "AtomicU64",
-    "AtomicUsize",
-    "AtomicI8",
-    "AtomicI16",
-    "AtomicI32",
-    "AtomicI64",
-    "AtomicIsize",
-    "AtomicPtr",
-    "thread_local",
-];
-
-/// Rule `interior-mutability`: `static` items and interior-mutability
-/// types are only allowed where the execution model owns them (the
-/// budget fault plan, `crates/obs`, `shims/rayon`). Anywhere else they
-/// are hidden cross-thread channels that can break the byte-identical
-/// determinism guarantee. Note `'static` lifetimes never match — the
-/// lexer separates them.
-fn interior_mutability(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for ci in 0..f.n_code() {
-        if f.in_test(ci) || f.ckind(ci) != TokenKind::Ident {
-            continue;
-        }
-        let text = f.ctext(ci);
-        let hit = text == "static" || INTERIOR_MUT_TYPES.contains(&text);
-        if !hit {
-            continue;
-        }
-        // A bare import is not state; the declaration site will fire.
-        let (s, _) = f.stmt_range(ci);
-        if f.is_ident(s, "use") {
-            continue;
-        }
-        emit(
-            f,
-            ci,
-            "interior-mutability",
-            format!(
-                "`{text}` outside the sanctioned modules (graph/src/budget.rs, \
-                 ckpt/src/fault.rs, crates/obs, shims/rayon) introduces shared \
-                 state that threatens \
-                 cross-thread determinism; thread the value explicitly or annotate \
-                 `// xtask-allow: interior-mutability` with a justification"
-            ),
-            out,
-        );
-    }
-}
+// ---- concurrency rule --------------------------------------------------
 
 /// Rule `lock-order`: a lexical fn body that takes two or more locks is
 /// flagged (from the second acquisition on) so every multi-lock scope in
@@ -1054,36 +662,6 @@ fn lock_order(f: &SourceFile, out: &mut Vec<Diagnostic>) {
                         "this fn body acquires {} locks; document the acquisition \
                          order and annotate `// xtask-allow: lock-order` once audited",
                         locks.len()
-                    ),
-                    out,
-                );
-            }
-        }
-    }
-}
-
-/// Rule `unwind-safety`: `catch_unwind`/`resume_unwind` only inside the
-/// supervised executor (shims/rayon) and the checkpoint store
-/// (crates/ckpt) — ad-hoc unwind handling elsewhere hides worker deaths
-/// from the supervision policy and the `Completeness` tally, so a
-/// panicked item would neither abort the run (fail-fast) nor be counted
-/// as `failed` (keep-going).
-fn unwind_safety(f: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for ci in 0..f.n_code() {
-        if f.in_test(ci) {
-            continue;
-        }
-        for name in ["catch_unwind", "resume_unwind"] {
-            if f.is_ident(ci, name) && f.is_punct(ci + 1, "(") {
-                emit(
-                    f,
-                    ci,
-                    "unwind-safety",
-                    format!(
-                        "`{name}` outside shims/rayon and crates/ckpt bypasses the \
-                         supervised executor's panic accounting; route worker \
-                         isolation through `rayon::collect_isolated` or annotate \
-                         `// xtask-allow: unwind-safety`"
                     ),
                     out,
                 );

@@ -579,13 +579,13 @@ mod tests {
     fn allow_markers_cover_line_and_line_above() {
         let f = file(
             "let a = 1; // xtask-allow: float-eq\n\
-             // xtask-allow: hash-iter-order, cast-truncation\n\
+             // xtask-allow: hash-iter-order, lock-order\n\
              let b = 2;\n",
         );
         assert!(f.allowed(1, "float-eq"));
         assert!(!f.allowed(1, "hash-iter-order"));
         assert!(f.allowed(3, "hash-iter-order"), "line-above marker");
-        assert!(f.allowed(3, "cast-truncation"), "comma-separated list");
+        assert!(f.allowed(3, "lock-order"), "comma-separated list");
         assert!(!f.allowed(3, "float-eq"));
     }
 

@@ -34,8 +34,7 @@ impl RuleTimer {
         if !self.on {
             return work();
         }
-        // xtask-allow: raw-instant -- analyzer self-timing; never feeds pipeline output
-        let t0 = std::time::Instant::now();
+        let t0 = catapult_obs::Stopwatch::start();
         let r = work();
         *self.acc.entry(rule).or_insert(Duration::ZERO) += t0.elapsed();
         r

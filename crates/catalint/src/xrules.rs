@@ -17,7 +17,7 @@
 
 use crate::diag::{Diagnostic, Suppression};
 use crate::lexer::TokenKind;
-use crate::rules::{RuleInfo, COMPLETENESS_DIRS, KERNEL_FILES};
+use crate::rules::{RuleInfo, COMPLETENESS_DIRS};
 use crate::scan::SourceFile;
 use crate::symbols::{CallSite, Callee, Workspace};
 use crate::timing::RuleTimer;
@@ -57,6 +57,15 @@ const PIPELINE_DIRS: &[&str] = &[
     "crates/eval/src/",
     "crates/mining/src/",
     "src/",
+];
+
+/// Files holding the NP-hard search kernels.
+const KERNEL_FILES: &[&str] = &[
+    "crates/graph/src/iso.rs",
+    "crates/graph/src/mcs.rs",
+    "crates/graph/src/ged.rs",
+    "crates/core/src/walk.rs",
+    "crates/core/src/select.rs",
 ];
 
 /// The NP-hard kernel entry files (subset of [`KERNEL_FILES`] holding
@@ -367,7 +376,8 @@ fn direct_panic(ws: &Workspace, id: usize) -> Option<&'static str> {
 
 /// Rule `panic-reachability`: a kernel fn calling a same-workspace
 /// helper that (transitively) panics aborts a whole selection run —
-/// exactly the hole the per-file `kernel-no-panic` rule cannot see.
+/// exactly the hole the per-file `clippy::panic`/`clippy::unwrap_used`
+/// lints cannot see.
 fn panic_reachability(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     // Defs that panic directly, with the panic kind.
     let mut reaches: BTreeMap<usize, (Option<usize>, &'static str)> = BTreeMap::new();

@@ -17,6 +17,11 @@
 //! The plan is global state, so tests that install one must serialize
 //! on a shared lock and [`clear`] it when done.
 
+// The plan is global state by design, and its tests catch the crash
+// panics they inject, so the clippy.toml interior-mutability and unwind
+// bans do not apply in this module.
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};

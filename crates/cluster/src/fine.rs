@@ -30,7 +30,8 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard, PoisonError}; // xtask-allow: interior-mutability
+#[allow(clippy::disallowed_types)] // the SimCache lock, justified at its field
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Which common-subgraph similarity drives the split (Exp 1 compares both).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -152,7 +153,8 @@ pub(crate) struct SimCache {
     /// `BTreeMap` so snapshots serialize in key order byte-identically.
     /// Writes are value-deterministic (every worker computes the same
     /// similarity for a class pair), so insertion order cannot change
-    /// any cached value. xtask-allow: interior-mutability
+    /// any cached value.
+    #[allow(clippy::disallowed_types)]
     entries: Mutex<BTreeMap<(u32, u32), (f64, Completeness)>>,
 }
 
@@ -181,7 +183,8 @@ impl SimCache {
         SimCache {
             class_of,
             rep_of,
-            entries: Mutex::new(BTreeMap::new()), // xtask-allow: interior-mutability
+            #[allow(clippy::disallowed_types)]
+            entries: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -381,18 +384,7 @@ pub struct FineOutcome {
 /// Run Algorithm 3: split every cluster larger than `N` until all clusters
 /// fit (or a cluster refuses to shrink, in which case it is cut in half
 /// deterministically to guarantee termination — this only happens when all
-/// members are identical). Unaudited convenience wrapper around
-/// [`fine_cluster_audited`].
-pub fn fine_cluster<R: Rng>(
-    db: &[Graph],
-    clusters: Vec<Vec<u32>>,
-    cfg: &FineConfig,
-    rng: &mut R,
-) -> Vec<Vec<u32>> {
-    fine_cluster_audited(db, clusters, cfg, rng).clusters
-}
-
-/// As [`fine_cluster`], also reporting per-kernel-call completeness.
+/// members are identical), also reporting per-kernel-call completeness.
 pub fn fine_cluster_audited<R: Rng>(
     db: &[Graph],
     clusters: Vec<Vec<u32>>,
@@ -645,7 +637,7 @@ mod tests {
             max_cluster_size: 4,
             ..Default::default()
         };
-        let out = fine_cluster(&db, vec![(0..12).collect()], &cfg, &mut rng);
+        let out = fine_cluster_audited(&db, vec![(0..12).collect()], &cfg, &mut rng).clusters;
         assert!(out.iter().all(|c| c.len() <= 4));
         let mut all: Vec<u32> = out.iter().flatten().copied().collect();
         all.sort_unstable();
@@ -661,7 +653,7 @@ mod tests {
             ..Default::default()
         };
         let input = vec![vec![0, 1], vec![2, 3]];
-        let out = fine_cluster(&db, input.clone(), &cfg, &mut rng);
+        let out = fine_cluster_audited(&db, input.clone(), &cfg, &mut rng).clusters;
         assert_eq!(out, input);
     }
 
@@ -673,7 +665,7 @@ mod tests {
             max_cluster_size: 2,
             ..Default::default()
         };
-        let out = fine_cluster(&db, vec![(0..9).collect()], &cfg, &mut rng);
+        let out = fine_cluster_audited(&db, vec![(0..9).collect()], &cfg, &mut rng).clusters;
         assert!(out.iter().all(|c| c.len() <= 2));
         assert_eq!(out.iter().map(Vec::len).sum::<usize>(), 9);
     }
@@ -812,7 +804,7 @@ mod tests {
             max_cluster_size: 6,
             ..Default::default()
         };
-        let out = fine_cluster(&db, vec![(0..12).collect()], &cfg, &mut rng);
+        let out = fine_cluster_audited(&db, vec![(0..12).collect()], &cfg, &mut rng).clusters;
         // A ring and a chain of 6 have MCCS of 5 edges (ring minus an edge is
         // a chain): similarity 5/5... wait, min(|E|) = min(6,5)=5 → 1.0.
         // Even so the partition must be valid.

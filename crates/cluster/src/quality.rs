@@ -7,7 +7,7 @@
 //! similarity summaries used by the ablations to characterize partitions.
 
 use catapult_graph::matching::hungarian;
-use catapult_graph::mcs::mccs_similarity_tagged;
+use catapult_graph::mcs::mccs_similarity;
 use catapult_graph::{Graph, SearchBudget, Tally};
 
 /// Misclassification error distance between two clusterings of the same
@@ -73,7 +73,7 @@ pub fn separation(
     let budget = budget.into();
     let tally = Tally::new();
     let sim = |x: u32, y: u32| {
-        let (s, c) = mccs_similarity_tagged(&db[x as usize], &db[y as usize], &budget);
+        let (s, c) = mccs_similarity(&db[x as usize], &db[y as usize], &budget);
         tally.record(c);
         s
     };

@@ -15,9 +15,9 @@
 //!    reruns over the updated summaries.
 
 use crate::select::{find_canned_patterns, SelectionConfig, SelectionResult};
-use catapult_cluster::fine::{fine_cluster, FineConfig};
+use catapult_cluster::fine::{fine_cluster_audited, FineConfig};
 use catapult_csg::Csg;
-use catapult_graph::mcs::mccs_similarity_tagged;
+use catapult_graph::mcs::mccs_similarity;
 use catapult_graph::{Graph, SearchBudget};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -64,8 +64,9 @@ pub struct UpdateStats {
     pub rebuilt_csgs: usize,
     /// New clusters created from the outlier pool.
     pub new_clusters: usize,
-    /// Assignment MCCS probes that tripped their budget (their similarity
-    /// is a lower bound).
+    /// Similarity probes that tripped their budget (their similarity is a
+    /// lower bound): the assignment MCCS probes plus the fine-clustering
+    /// MCS/MCCS calls that matured the outlier pool.
     pub degraded_probes: usize,
 }
 
@@ -126,7 +127,7 @@ impl IncrementalCatapult {
         let mut best: Option<(usize, f64)> = None;
         let mut degraded = 0;
         for (i, c) in self.csgs.iter().enumerate() {
-            let (sim, completeness) = mccs_similarity_tagged(g, &c.graph, &self.cfg.search);
+            let (sim, completeness) = mccs_similarity(g, &c.graph, &self.cfg.search);
             if !completeness.is_exact() {
                 degraded += 1;
             }
@@ -178,9 +179,14 @@ impl IncrementalCatapult {
                 ..Default::default()
             };
             let pool = std::mem::take(&mut self.outlier_pool);
-            let new_clusters = fine_cluster(&self.db, vec![pool], &fine_cfg, &mut rng);
-            stats.new_clusters = new_clusters.len();
-            for c in new_clusters {
+            let matured = fine_cluster_audited(&self.db, vec![pool], &fine_cfg, &mut rng);
+            // A degraded split similarity only changes how the pool is
+            // divided, never which graphs it holds; the batch counts it
+            // with the degraded assignment probes.
+            let degraded = usize::try_from(matured.kernel.degraded()).unwrap_or(usize::MAX);
+            stats.degraded_probes = stats.degraded_probes.saturating_add(degraded);
+            stats.new_clusters = matured.clusters.len();
+            for c in matured.clusters {
                 self.csgs.push(Csg::build(&self.db, &c));
                 self.clusters.push(c);
             }

@@ -10,6 +10,14 @@
 //! Scoring is bound-first ([`bound_first_argmax`], DESIGN.md §15): the
 //! diversity GEDs run only for candidates whose score bound can still win.
 
+// Kernel and index arithmetic must not truncate, wrap or drop a sign
+// silently: use `try_from` with a handled error or widen the type.
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
+
 use crate::budget::{PatternBudget, SizeCounts};
 use crate::fcp::generate_fcp;
 use crate::querylog::QueryLog;

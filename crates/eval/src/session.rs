@@ -176,7 +176,7 @@ pub fn replay(
         // re-find it by matching the dragged pattern onto the query region.
         let p = &panel[occ.pattern];
         #[allow(clippy::expect_used)]
-        // Occurrences originate from `embeddings`, so re-finding one cannot fail.
+        // Occurrences originate from `steps::occurrences`, so re-finding one cannot fail.
         let embedding = crate::steps::occurrence_embedding(query, p, occ)
             .expect("occurrence came from an embedding");
         for (pv, qv) in embedding.iter().enumerate() {

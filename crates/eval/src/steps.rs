@@ -17,8 +17,9 @@
 //! labelling model): `step_P(gui) += |V_Pl|`.
 
 use crate::mwis::{greedy_mwis, ConflictGraph};
-use catapult_graph::iso::embeddings;
+use catapult_graph::iso::{for_each_embedding, MatchOptions};
 use catapult_graph::{Graph, Label, VertexId};
+use std::ops::ControlFlow;
 
 /// Cap on embeddings enumerated per pattern (dedup happens afterwards);
 /// prevents pathological blowup on symmetric patterns.
@@ -80,12 +81,16 @@ pub fn occurrences(q: &Graph, patterns: &[Graph], cap: usize) -> Vec<Occurrence>
         // Occurrence mining for step accounting: a tripped enumeration
         // just misses some pattern placements, inflating step_P slightly
         // (conservative for the GUI-benefit claims of §6.1).
-        // xtask-allow: consume-completeness, budget-threading
-        for emb in embeddings(q, p, cap) {
-            let mut vertices: Vec<VertexId> = emb.clone();
+        let opts = MatchOptions {
+            max_embeddings: cap,
+            ..MatchOptions::default()
+        };
+        // xtask-allow: completeness-flow
+        for_each_embedding(q, p, opts, |emb| {
+            let mut vertices: Vec<VertexId> = emb.to_vec();
             vertices.sort_unstable();
-            // `embeddings` yields genuine subgraph embeddings, so every
-            // pattern edge has an image edge in the query.
+            // `for_each_embedding` yields genuine subgraph embeddings, so
+            // every pattern edge has an image edge in the query.
             #[allow(clippy::expect_used)]
             let mut edges: Vec<u32> = p
                 .edges()
@@ -104,7 +109,8 @@ pub fn occurrences(q: &Graph, patterns: &[Graph], cap: usize) -> Vec<Occurrence>
                     edges,
                 });
             }
-        }
+            ControlFlow::Continue(())
+        });
     }
     out
 }
@@ -119,31 +125,26 @@ pub fn occurrence_embedding(q: &Graph, p: &Graph, occ: &Occurrence) -> Option<Ve
     // same enumeration, so re-finding it under the same default cap can
     // only miss if the first pass already did — GUI replay degrades, no
     // metric is affected. xtask-allow: completeness-flow
-    catapult_graph::iso::for_each_embedding(
-        q,
-        p,
-        catapult_graph::iso::MatchOptions::default(),
-        |emb| {
-            let mut vs: Vec<VertexId> = emb.to_vec();
-            vs.sort_unstable();
-            if vs != occ.vertices {
-                return std::ops::ControlFlow::Continue(());
-            }
-            let mut es: Vec<u32> = p
-                .edges()
-                .filter_map(|(_, e)| q.find_edge(emb[e.u.index()], emb[e.v.index()]))
-                .map(|e| e.0)
-                .collect();
-            es.sort_unstable();
-            es.dedup();
-            if es == occ.edges {
-                found = Some(emb.to_vec());
-                std::ops::ControlFlow::Break(())
-            } else {
-                std::ops::ControlFlow::Continue(())
-            }
-        },
-    );
+    for_each_embedding(q, p, MatchOptions::default(), |emb| {
+        let mut vs: Vec<VertexId> = emb.to_vec();
+        vs.sort_unstable();
+        if vs != occ.vertices {
+            return ControlFlow::Continue(());
+        }
+        let mut es: Vec<u32> = p
+            .edges()
+            .filter_map(|(_, e)| q.find_edge(emb[e.u.index()], emb[e.v.index()]))
+            .map(|e| e.0)
+            .collect();
+        es.sort_unstable();
+        es.dedup();
+        if es == occ.edges {
+            found = Some(emb.to_vec());
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
     found
 }
 

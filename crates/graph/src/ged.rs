@@ -26,6 +26,14 @@
 //! `GedSearch::descend`), and the label-multiset heuristic is kept up to
 //! date by ±1 as vertices are decided, so it is O(1).
 
+// Kernel and index arithmetic must not truncate, wrap or drop a sign
+// silently: use `try_from` with a handled error or widen the type.
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
+
 use crate::bitadj::BitAdjacency;
 use crate::budget::{BudgetMeter, Completeness, Kernel, SearchBudget};
 use crate::graph::{Graph, VertexId};
@@ -451,16 +459,16 @@ mod tests {
         Label(x)
     }
 
-    fn path(n: usize) -> Graph {
-        let labels = vec![l(0); n];
-        let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
+    fn path(n: u32) -> Graph {
+        let labels = vec![l(0); n as usize];
+        let edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
         Graph::from_parts(&labels, &edges)
     }
 
-    fn cycle(n: usize) -> Graph {
-        let labels = vec![l(0); n];
-        let mut edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
-        edges.push((n as u32 - 1, 0));
+    fn cycle(n: u32) -> Graph {
+        let labels = vec![l(0); n as usize];
+        let mut edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
+        edges.push((n - 1, 0));
         Graph::from_parts(&labels, &edges)
     }
 
@@ -580,7 +588,7 @@ mod tests {
         let r = ged_with_budget(
             &a,
             &b,
-            SearchBudget::unbounded().with_deadline(Deadline::at(std::time::Instant::now())),
+            SearchBudget::unbounded().with_deadline(Deadline::at(catapult_obs::now())),
         );
         assert_eq!(r.completeness, Completeness::DeadlineExceeded);
         assert!(r.distance >= ged_lower_bound(&a, &b));

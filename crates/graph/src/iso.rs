@@ -12,6 +12,14 @@
 //! semantics of subgraph search in graph databases [36]. Induced matching
 //! is available via [`MatchOptions::induced`].
 
+// Kernel and index arithmetic must not truncate, wrap or drop a sign
+// silently: use `try_from` with a handled error or widen the type.
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
+
 use crate::bitadj::BitAdjacency;
 use crate::budget::{BudgetMeter, Completeness, Kernel, SearchBudget};
 use crate::graph::{Graph, VertexId};
@@ -383,7 +391,7 @@ where
 /// use [`contains_tagged`] (`cargo xtask lint` enforces this outside
 /// tests).
 pub fn contains(target: &Graph, pattern: &Graph) -> bool {
-    find_embedding(target, pattern).is_some()
+    contains_tagged(target, pattern, &SearchBudget::unbounded()).0
 }
 
 /// Budgeted containment test: whether an embedding of `pattern` was found
@@ -410,43 +418,6 @@ pub fn contains_tagged(
         },
     );
     (found, out.completeness)
-}
-
-/// Find one embedding of `pattern` in `target` (non-induced), as a mapping
-/// pattern-vertex-id → target-vertex-id.
-pub fn find_embedding(target: &Graph, pattern: &Graph) -> Option<Vec<VertexId>> {
-    let mut result = None;
-    for_each_embedding(
-        target,
-        pattern,
-        MatchOptions {
-            max_embeddings: 1,
-            ..MatchOptions::default()
-        },
-        |emb| {
-            result = Some(emb.to_vec());
-            ControlFlow::Break(())
-        },
-    );
-    result
-}
-
-/// Collect up to `cap` embeddings of `pattern` in `target` (non-induced).
-pub fn embeddings(target: &Graph, pattern: &Graph, cap: usize) -> Vec<Vec<VertexId>> {
-    let mut out = Vec::new();
-    for_each_embedding(
-        target,
-        pattern,
-        MatchOptions {
-            max_embeddings: cap,
-            ..MatchOptions::default()
-        },
-        |emb| {
-            out.push(emb.to_vec());
-            ControlFlow::Continue(())
-        },
-    );
-    out
 }
 
 /// Exact graph isomorphism test.
@@ -493,9 +464,9 @@ mod tests {
         Graph::from_parts(&[l(0); 3], &[(0, 1), (1, 2), (0, 2)])
     }
 
-    fn path(n: usize) -> Graph {
-        let labels = vec![l(0); n];
-        let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
+    fn path(n: u32) -> Graph {
+        let labels = vec![l(0); n as usize];
+        let edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
         Graph::from_parts(&labels, &edges)
     }
 
@@ -547,18 +518,22 @@ mod tests {
         // single labeled edge into unlabeled triangle: 3 edges × 2 directions.
         let e = path(2);
         let t = triangle();
-        assert_eq!(embeddings(&t, &e, usize::MAX).len(), 6);
+        let all = for_each_embedding(&t, &e, MatchOptions::default(), |_| {
+            ControlFlow::Continue(())
+        });
+        assert_eq!(all.embeddings, 6);
     }
 
     #[test]
     fn embedding_preserves_edges_and_labels() {
         let t = Graph::from_parts(&[l(0), l(1), l(0), l(2)], &[(0, 1), (1, 2), (2, 3), (0, 3)]);
         let p = Graph::from_parts(&[l(1), l(0)], &[(0, 1)]);
-        for emb in embeddings(&t, &p, usize::MAX) {
+        for_each_embedding(&t, &p, MatchOptions::default(), |emb| {
             assert_eq!(t.label(emb[0]), l(1));
             assert_eq!(t.label(emb[1]), l(0));
             assert!(t.has_edge(emb[0], emb[1]));
-        }
+            ControlFlow::Continue(())
+        });
     }
 
     #[test]
@@ -623,8 +598,12 @@ mod tests {
     fn max_embeddings_cap() {
         let e = path(2);
         let t = triangle();
-        let out = embeddings(&t, &e, 2);
-        assert_eq!(out.len(), 2);
+        let opts = MatchOptions {
+            max_embeddings: 2,
+            ..MatchOptions::default()
+        };
+        let out = for_each_embedding(&t, &e, opts, |_| ControlFlow::Continue(()));
+        assert_eq!(out.embeddings, 2);
     }
 
     #[test]
@@ -690,8 +669,7 @@ mod tests {
             &triangle(),
             &path(3),
             MatchOptions {
-                budget: SearchBudget::unbounded()
-                    .with_deadline(Deadline::at(std::time::Instant::now())),
+                budget: SearchBudget::unbounded().with_deadline(Deadline::at(catapult_obs::now())),
                 ..MatchOptions::default()
             },
             |_| ControlFlow::Continue(()),

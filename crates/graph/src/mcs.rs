@@ -16,6 +16,14 @@
 //! implementations benchmarked in [13]. A degraded result is a *lower
 //! bound* on the true common-subgraph size.
 
+// Kernel and index arithmetic must not truncate, wrap or drop a sign
+// silently: use `try_from` with a handled error or widen the type.
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
+
 use crate::bitadj::BitAdjacency;
 use crate::budget::{BudgetMeter, Completeness, Kernel, SearchBudget};
 use crate::graph::{Graph, VertexId};
@@ -576,17 +584,10 @@ pub fn mcs(g1: &Graph, g2: &Graph, cfg: McsConfig) -> McsResult {
     }
 }
 
-/// `ω_mcs(G1, G2) = |G_mcs| / min(|G1|, |G2|)` with `|G| = |E|` (§2).
-///
-/// Swallows the completeness tag (a truncated MCS understates similarity);
-/// call sites that must react to degradation use [`mcs_similarity_tagged`].
-pub fn mcs_similarity(g1: &Graph, g2: &Graph, budget: impl Into<SearchBudget>) -> f64 {
-    mcs_similarity_tagged(g1, g2, budget).0
-}
-
-/// Budgeted `ω_mcs` plus why the underlying search stopped. A non-exact
-/// similarity is a lower bound on the true value.
-pub fn mcs_similarity_tagged(
+/// Budgeted `ω_mcs(G1, G2) = |G_mcs| / min(|G1|, |G2|)` with `|G| = |E|`
+/// (§2), plus why the underlying search stopped. A non-exact similarity
+/// is a lower bound on the true value.
+pub fn mcs_similarity(
     g1: &Graph,
     g2: &Graph,
     budget: impl Into<SearchBudget>,
@@ -602,17 +603,10 @@ pub fn mcs_similarity_tagged(
     )
 }
 
-/// `ω_mccs(G1, G2) = |G_mccs| / min(|G1|, |G2|)` with `|G| = |E|` (§2).
-///
-/// Swallows the completeness tag; use [`mccs_similarity_tagged`] where
-/// degradation must be observable.
-pub fn mccs_similarity(g1: &Graph, g2: &Graph, budget: impl Into<SearchBudget>) -> f64 {
-    mccs_similarity_tagged(g1, g2, budget).0
-}
-
-/// Budgeted `ω_mccs` plus why the underlying search stopped. A non-exact
+/// Budgeted `ω_mccs(G1, G2) = |G_mccs| / min(|G1|, |G2|)` with
+/// `|G| = |E|` (§2), plus why the underlying search stopped. A non-exact
 /// similarity is a lower bound on the true value.
-pub fn mccs_similarity_tagged(
+pub fn mccs_similarity(
     g1: &Graph,
     g2: &Graph,
     budget: impl Into<SearchBudget>,
@@ -646,16 +640,16 @@ mod tests {
         Label(x)
     }
 
-    fn path(n: usize) -> Graph {
-        let labels = vec![l(0); n];
-        let edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
+    fn path(n: u32) -> Graph {
+        let labels = vec![l(0); n as usize];
+        let edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
         Graph::from_parts(&labels, &edges)
     }
 
-    fn cycle(n: usize) -> Graph {
-        let labels = vec![l(0); n];
-        let mut edges: Vec<(u32, u32)> = (0..n as u32 - 1).map(|i| (i, i + 1)).collect();
-        edges.push((n as u32 - 1, 0));
+    fn cycle(n: u32) -> Graph {
+        let labels = vec![l(0); n as usize];
+        let mut edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
+        edges.push((n - 1, 0));
         Graph::from_parts(&labels, &edges)
     }
 
@@ -665,7 +659,7 @@ mod tests {
         let r = mcs(&g, &g, McsConfig::default());
         assert!(r.is_exact());
         assert_eq!(r.edges, 5);
-        assert!((mccs_similarity(&g, &g, 500_000) - 1.0).abs() < 1e-12);
+        assert!((mccs_similarity(&g, &g, 500_000).0 - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -730,7 +724,7 @@ mod tests {
         let mut g = Graph::new();
         g.add_vertex(l(0));
         let h = path(3);
-        assert_eq!(mcs_similarity(&g, &h, 1000), 0.0);
+        assert_eq!(mcs_similarity(&g, &h, 1000).0, 0.0);
     }
 
     #[test]
@@ -781,8 +775,7 @@ mod tests {
             &g,
             McsConfig {
                 connected: false,
-                budget: SearchBudget::unbounded()
-                    .with_deadline(Deadline::at(std::time::Instant::now())),
+                budget: SearchBudget::unbounded().with_deadline(Deadline::at(catapult_obs::now())),
                 ..McsConfig::default()
             },
         );
@@ -792,10 +785,10 @@ mod tests {
     #[test]
     fn tagged_similarity_exposes_degradation() {
         let g = cycle(6);
-        let (exact_sim, c) = mcs_similarity_tagged(&g, &g, 500_000u64);
+        let (exact_sim, c) = mcs_similarity(&g, &g, 500_000u64);
         assert!(c.is_exact());
         assert!((exact_sim - 1.0).abs() < 1e-12);
-        let (truncated_sim, c) = mcs_similarity_tagged(&g, &g, 5u64);
+        let (truncated_sim, c) = mcs_similarity(&g, &g, 5u64);
         assert_eq!(c, Completeness::BudgetExhausted);
         assert!(truncated_sim <= exact_sim);
     }
@@ -858,8 +851,8 @@ mod tests {
     fn similarity_symmetry() {
         let a = cycle(4);
         let b = path(6);
-        let s1 = mccs_similarity(&a, &b, 500_000);
-        let s2 = mccs_similarity(&b, &a, 500_000);
+        let s1 = mccs_similarity(&a, &b, 500_000).0;
+        let s2 = mccs_similarity(&b, &a, 500_000).0;
         assert!((s1 - s2).abs() < 1e-12);
         assert!(s1 > 0.0 && s1 <= 1.0);
     }

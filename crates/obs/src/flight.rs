@@ -372,6 +372,8 @@ mod tests {
             let _ = std::fs::remove_file(&path);
             arm_crash_dump(&path);
             event("flight.test.precrash", "", 1);
+            // The panic hook under test only runs on a real unwind.
+            #[allow(clippy::disallowed_methods)]
             let caught = std::panic::catch_unwind(|| panic!("synthetic crash"));
             assert!(caught.is_err());
             let text = std::fs::read_to_string(&path).expect("flight dump written");

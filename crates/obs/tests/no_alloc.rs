@@ -2,6 +2,9 @@
 //! path: a counting global allocator wraps `System`, and each no-op
 //! entry point must leave the allocation counter untouched.
 //!
+//! The counter is per thread, so allocations made by tests running
+//! concurrently on other harness threads never leak into a measurement.
+//!
 //! `unsafe` is required by the `GlobalAlloc` contract (the impl only
 //! delegates to `System`); the crate-local lint policy uses `deny`
 //! instead of the workspace's `forbid` exactly so this one reviewed
@@ -9,18 +12,30 @@
 
 #![allow(unsafe_code)]
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// The allocation counter is test-only shared state.
+#![allow(clippy::disallowed_types, clippy::disallowed_macros)]
 
 use catapult_obs::{Kernel, KernelMeasurement, Recorder};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor, so reading it from
+    // inside the allocator never allocates or registers TLS teardown.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` only fails while the thread is being torn down, when
+    // no measurement can be running on it.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 struct CountingAllocator;
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -29,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -37,11 +52,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Run `f` and return how many allocations it performed.
+/// Run `f` and return how many allocations it performed on this thread.
 fn allocations_in(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 #[test]

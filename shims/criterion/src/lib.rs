@@ -163,6 +163,8 @@ impl Bencher {
     /// Time `f`, `iters` times (set by the driver).
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
         for _ in 0..self.iters {
+            // The shim is the bench harness's own clock.
+            #[allow(clippy::disallowed_methods)]
             let t0 = Instant::now();
             let out = f();
             self.times.push(t0.elapsed());

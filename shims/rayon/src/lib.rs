@@ -46,6 +46,14 @@
 // Unit tests are allowed the ergonomic panicking shortcuts the library
 // itself forbids; the policy targets production code paths only.
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+// The executor owns the workspace's threads, its shared pool state and
+// worker panic isolation, so the clippy.toml bans on spawning threads,
+// unwinding and interior mutability do not apply here.
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::disallowed_macros
+)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;

@@ -12,6 +12,9 @@
 
 #![allow(unsafe_code)]
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// Test code may share state (serialization locks, counters); the
+// clippy.toml interior-mutability bans target library code.
+#![allow(clippy::disallowed_types)]
 
 use rayon::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -12,6 +12,9 @@
 //! Run with: `cargo test --features fault-injection --test fault_injection`
 #![cfg(feature = "fault-injection")]
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// Test code may share state (serialization locks, counters); the
+// clippy.toml interior-mutability bans target library code.
+#![allow(clippy::disallowed_types)]
 
 use catapult::graph::budget::fault::{self, FaultKind, FaultPlan};
 use catapult::graph::components::is_connected;
@@ -222,6 +225,7 @@ fn worker_panic_aborts_loudly_by_default() {
     });
     // Fail-fast is the default: the injected worker death must surface
     // as a panic of the whole run, not a silently weaker result.
+    #[allow(clippy::disallowed_methods)]
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         run_catapult(&db, &fine_only_config(false))
     }));

@@ -24,6 +24,9 @@
 //!   `are_isomorphic` matches an exhaustive permutation check.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// Test code may share state (serialization locks, counters); the
+// clippy.toml interior-mutability bans target library code.
+#![allow(clippy::disallowed_types)]
 
 use catapult::graph::mcs::{mcs, McsConfig, McsResult};
 use catapult::graph::{iso, Deadline, Graph, Label, SearchBudget, VertexId};
@@ -116,9 +119,7 @@ fn budgets() -> Vec<(&'static str, SearchBudget)> {
         ("exhausted", SearchBudget::nodes(25)),
         (
             "deadline",
-            // An already-expired deadline needs a raw timestamp, not a
-            // recorder epoch. xtask-allow: raw-instant
-            SearchBudget::unbounded().with_deadline(Deadline::at(std::time::Instant::now())),
+            SearchBudget::unbounded().with_deadline(Deadline::at(catapult_obs::now())),
         ),
     ]
 }

@@ -19,6 +19,9 @@
 //! [`Tally`]: catapult::graph::Tally
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// Test code may share state (serialization locks, counters); the
+// clippy.toml interior-mutability bans target library code.
+#![allow(clippy::disallowed_types)]
 
 use catapult::datasets::{aids_profile, generate, MoleculeDb};
 use catapult::graph::fmt::write_graphs;

@@ -11,6 +11,9 @@
 //! [`Completeness`]: catapult::graph::Completeness
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// Test code may share state (serialization locks, counters); the
+// clippy.toml interior-mutability bans target library code.
+#![allow(clippy::disallowed_types)]
 
 use catapult::cluster::fine::{fine_cluster_audited, FineConfig};
 use catapult::datasets::{

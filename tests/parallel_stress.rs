@@ -12,6 +12,9 @@
 //!   and no scoped worker threads outlive their `par_iter` call.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// Test code may share state (serialization locks, counters); the
+// clippy.toml interior-mutability bans target library code.
+#![allow(clippy::disallowed_types)]
 
 use catapult::graph::iso::contains_tagged;
 use catapult::graph::{CancelToken, Completeness, Graph, Label, SearchBudget, VertexId};

@@ -166,7 +166,7 @@ proptest! {
                 prop_assert_eq!(a.label(va), b.label(ta));
             }
         }
-        let sim = mccs_similarity(&a, &b, 100_000);
+        let sim = mccs_similarity(&a, &b, 100_000).0;
         prop_assert!((0.0..=1.0).contains(&sim));
     }
 

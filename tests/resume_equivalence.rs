@@ -18,6 +18,9 @@
 //! Run with: `cargo test --features fault-injection --test resume_equivalence`
 #![cfg(feature = "fault-injection")]
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// Test code may share state (serialization locks, counters); the
+// clippy.toml interior-mutability bans target library code.
+#![allow(clippy::disallowed_types)]
 
 use catapult::ckpt::fault::{self as pfault, PersistFaultKind, PersistFaultPlan, CRASH_PAYLOAD};
 use catapult::ckpt::CheckpointConfig;
@@ -140,6 +143,8 @@ fn interrupted_then_resumed_equals_uninterrupted() {
                 let dir = fresh_dir(&format!("{threads}"));
                 pfault::clear();
                 pfault::install(PersistFaultPlan { kind, at });
+                // Stands in for a process death; see the module docs.
+                #[allow(clippy::disallowed_methods)]
                 let first = catch_unwind(AssertUnwindSafe(|| {
                     run_catapult_resumable(&db, &cfg, &ckpt_cfg(&dir, false))
                 }));
@@ -275,6 +280,8 @@ fn fine_cache_resumed_mid_split_matches_cold_recompute() {
         at: writes - 1,
     });
     let crash_rec = Recorder::enabled();
+    // Stands in for a process death; see the module docs.
+    #[allow(clippy::disallowed_methods)]
     let crashed = catch_unwind(AssertUnwindSafe(|| {
         let store = StageStore::open(&count_cfg, fp, Recorder::disabled()).unwrap();
         fine_cluster_resumable(

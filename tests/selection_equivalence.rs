@@ -19,6 +19,9 @@
 //! scores, with ties, all-zero vectors and NaNs of both signs.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+// Test code may share state (serialization locks, counters); the
+// clippy.toml interior-mutability bans target library code.
+#![allow(clippy::disallowed_types)]
 
 use catapult::core::select::bound_first_argmax;
 use catapult::core::{find_canned_patterns, QueryLog, ScoreVariant, SelectionResult};

@@ -9,7 +9,7 @@ use catapult::datasets;
 use catapult::graph::canonical::canonical_tokens;
 use catapult::graph::components::is_tree;
 use catapult::graph::ged::{ged_lower_bound, ged_upper_bound, ged_with_budget};
-use catapult::graph::iso::{are_isomorphic, contains, embeddings};
+use catapult::graph::iso::{are_isomorphic, contains, for_each_embedding, MatchOptions};
 use catapult::graph::mcs::{mcs, McsConfig};
 use catapult::graph::{Graph, Label, SearchBudget, VertexId};
 use rand::rngs::StdRng;
@@ -103,9 +103,13 @@ fn embeddings_are_valid_monomorphisms() {
     for _ in 0..40 {
         let target = random_graph(&mut rng, 8, 2);
         let pattern = random_graph(&mut rng, 4, 2);
-        for emb in embeddings(&target, &pattern, 50) {
+        let opts = MatchOptions {
+            max_embeddings: 50,
+            ..MatchOptions::default()
+        };
+        for_each_embedding(&target, &pattern, opts, |emb| {
             // Injective.
-            let mut seen = emb.clone();
+            let mut seen = emb.to_vec();
             seen.sort_unstable();
             seen.dedup();
             assert_eq!(seen.len(), emb.len());
@@ -116,7 +120,8 @@ fn embeddings_are_valid_monomorphisms() {
             for (_, e) in pattern.edges() {
                 assert!(target.has_edge(emb[e.u.index()], emb[e.v.index()]));
             }
-        }
+            std::ops::ControlFlow::Continue(())
+        });
     }
 }
 
