@@ -11,11 +11,20 @@
 //! The output JSON is schema-versioned; an existing file written at a
 //! different `schema_version` is never silently overwritten — pass
 //! `--force` to replace it. `--metrics-out FILE` additionally writes the
-//! same machine-readable run manifest the `catapult` CLI emits.
+//! same machine-readable run manifest the `catapult` CLI emits. An
+//! unknown flag, a fourth positional argument or a non-numeric `scale` /
+//! `reps` is a usage error (exit 2) and writes nothing.
 
 use catapult_bench::kernels;
 use catapult_obs::{manifest, Recorder, RunManifest};
 use std::path::Path;
+
+const USAGE: &str = "usage: bench_kernels [--force] [--metrics-out FILE] [out.json [scale [reps]]]";
+
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2);
+}
 
 fn main() {
     let mut positional: Vec<String> = Vec::new();
@@ -27,20 +36,28 @@ fn main() {
             "--force" => force = true,
             "--metrics-out" => match args.next() {
                 Some(path) => metrics_out = Some(path),
-                None => {
-                    eprintln!("--metrics-out needs a value");
-                    std::process::exit(2);
-                }
+                None => usage_error("--metrics-out needs a value"),
             },
+            flag if flag.starts_with("--") => usage_error(&format!("unknown flag `{flag}`")),
             _ => positional.push(a),
         }
     }
-    let mut positional = positional.into_iter();
+    if let Some(extra) = positional.get(3) {
+        usage_error(&format!("unexpected argument `{extra}`"));
+    }
+    let number = |i: usize, name: &str, default: usize| {
+        positional.get(i).map_or(default, |s| {
+            s.parse().unwrap_or_else(|_| {
+                usage_error(&format!("{name} must be a non-negative integer, got `{s}`"))
+            })
+        })
+    };
+    let scale = number(1, "scale", 1);
+    let reps = number(2, "reps", 5);
     let out = positional
+        .into_iter()
         .next()
         .unwrap_or_else(|| "BENCH_kernels.json".into());
-    let scale: usize = positional.next().and_then(|s| s.parse().ok()).unwrap_or(1);
-    let reps: usize = positional.next().and_then(|s| s.parse().ok()).unwrap_or(5);
 
     for path in std::iter::once(&out).chain(metrics_out.as_ref()) {
         if let Err(e) = manifest::guard_overwrite(Path::new(path), force) {

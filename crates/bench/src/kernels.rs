@@ -63,8 +63,8 @@ impl KernelBench {
     }
 }
 
-/// Warmup sweeps discarded before timing starts — same rationale as the
-/// parallel bench: the first sweep pays allocator growth and cold caches.
+/// Warmup sweeps discarded before timing starts: the first sweep pays
+/// allocator growth and cold caches.
 const WARMUP_REPS: usize = 1;
 
 /// Per-pair search budget. Large enough that the pruned search finishes
@@ -259,6 +259,24 @@ pub fn run_recorded(scale: usize, reps: usize, recorder: &Recorder) -> Vec<Kerne
     out
 }
 
+/// Host-fingerprint lines of the manifest. `cargo xtask bench-diff`
+/// refuses to compare wall-clock numbers when these differ (unless
+/// `--allow-cross-host`): `secs_*` fields are only meaningful on the host
+/// that produced them, while `probes`/`pairs` are deterministic and
+/// comparable anywhere.
+fn host_fingerprint_json() -> String {
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads_env = match std::env::var("CATAPULT_THREADS") {
+        Ok(v) => format!("\"{}\"", v.escape_default()),
+        Err(_) => "null".to_string(),
+    };
+    format!(
+        "  \"host_threads\": {host},\n  \"catapult_threads\": {threads_env},\n  \"os\": \"{}\",\n  \"arch\": \"{}\",\n",
+        std::env::consts::OS,
+        std::env::consts::ARCH,
+    )
+}
+
 /// Hand-rolled JSON (the workspace has no serde): stable key order, one
 /// entry per kernel variant.
 pub fn to_json(benches: &[KernelBench]) -> String {
@@ -267,7 +285,7 @@ pub fn to_json(benches: &[KernelBench]) -> String {
         "  \"schema_version\": {},\n",
         catapult_obs::SCHEMA_VERSION
     ));
-    s.push_str(&crate::host_fingerprint_json());
+    s.push_str(&host_fingerprint_json());
     s.push_str(&format!("  \"warmup_reps\": {WARMUP_REPS},\n"));
     s.push_str(&format!("  \"pair_budget_nodes\": {PAIR_BUDGET},\n"));
     s.push_str("  \"entries\": [\n");

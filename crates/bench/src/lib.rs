@@ -41,30 +41,11 @@ pub mod exp08;
 pub mod exp09;
 pub mod exp10;
 pub mod kernels;
-pub mod parallel;
 pub mod report;
 pub mod scale;
 
 pub use report::Report;
 pub use scale::Scale;
-
-/// Host-fingerprint lines shared by both bench manifests. `cargo xtask
-/// bench-diff` refuses to compare wall-clock numbers when these differ
-/// (unless `--allow-cross-host`): `secs_*` fields are only meaningful on
-/// the host that produced them, while `probes`/`pairs` are deterministic
-/// and comparable anywhere.
-pub fn host_fingerprint_json() -> String {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads_env = match std::env::var("CATAPULT_THREADS") {
-        Ok(v) => format!("\"{}\"", v.escape_default()),
-        Err(_) => "null".to_string(),
-    };
-    format!(
-        "  \"host_threads\": {host},\n  \"catapult_threads\": {threads_env},\n  \"os\": \"{}\",\n  \"arch\": \"{}\",\n",
-        std::env::consts::OS,
-        std::env::consts::ARCH,
-    )
-}
 
 /// Run one experiment by id ("exp1".."exp10").
 pub fn run_experiment(id: &str, scale: Scale) -> Option<Report> {

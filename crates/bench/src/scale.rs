@@ -10,7 +10,7 @@
 /// How big to run an experiment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
-    /// Minimal sizes for CI and Criterion benches (seconds).
+    /// Minimal sizes for CI and smoke tests (seconds).
     Smoke,
     /// Default harness scale (a few minutes for the full suite).
     Quick,

@@ -1512,7 +1512,7 @@ mod tests {
         assert_eq!(module_of("crates/graph/src/iso.rs"), "iso");
         assert_eq!(module_of("crates/graph/src/lib.rs"), "");
         assert_eq!(module_of("crates/core/src/walk/deep.rs"), "walk::deep");
-        assert_eq!(module_of("crates/bench/src/bin/bench_parallel.rs"), "");
+        assert_eq!(module_of("crates/bench/src/bin/bench_kernels.rs"), "");
     }
 
     #[test]

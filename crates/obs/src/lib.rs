@@ -17,8 +17,7 @@
 //!   every pipeline stage. A **disabled** recorder (the default) is a
 //!   `None` behind the handle: every operation returns immediately
 //!   without allocating, locking, or reading the clock
-//!   (tests/no_alloc.rs proves the span hot path allocation-free, and
-//!   benches/overhead.rs measures the per-op cost).
+//!   (tests/no_alloc.rs proves the span hot path allocation-free).
 //! * [`SpanGuard`] — RAII wall-time spans with parent nesting (a
 //!   thread-local stack) and worker-thread attribution (see [`worker`]).
 //! * [`Counter`] / [`Histogram`] — lock-free atomic cells. Kernels

@@ -1,12 +1,13 @@
 //! `cargo xtask bench-diff OLD.json NEW.json` — the perf-regression gate.
 //!
-//! Compares two schema-versioned bench manifests (`BENCH_kernels.json` /
-//! `BENCH_parallel.json`, see `crates/bench`) field by field:
+//! Compares two schema-versioned kernel-bench manifests
+//! (`BENCH_kernels.json`, written by `crates/bench`'s `bench_kernels`),
+//! entry by entry keyed on `kernel`/`variant`, field by field:
 //!
 //! * **Deterministic counters** (`probes`, `pairs`) must match exactly —
 //!   they are a function of the workload, not the host, so any drift is a
 //!   behavioral change, not noise.
-//! * **Wall-clock fields** (`secs_*`, `probes_per_sec`, `speedup`) are
+//! * **Wall-clock fields** (`secs_median`, `probes_per_sec`) are
 //!   gated with a per-kernel noise tolerance: only a slowdown beyond the
 //!   tolerance counts as a regression; speedups are reported but pass.
 //! * **Host fingerprints** (`host_threads`, `catapult_threads`, `os`,
@@ -26,14 +27,8 @@ const FINGERPRINT_KEYS: [&str; 4] = ["host_threads", "catapult_threads", "os", "
 const EXACT_FIELDS: [&str; 2] = ["probes", "pairs"];
 
 /// Wall-clock per-entry fields and their direction: `true` = larger is
-/// worse (times), `false` = smaller is worse (rates, speedups).
-const NOISY_FIELDS: [(&str, bool); 5] = [
-    ("secs_median", true),
-    ("secs_sequential", true),
-    ("secs_auto", true),
-    ("probes_per_sec", false),
-    ("speedup", false),
-];
+/// worse (times), `false` = smaller is worse (rates).
+const NOISY_FIELDS: [(&str, bool); 2] = [("secs_median", true), ("probes_per_sec", false)];
 
 /// Default noise tolerance for wall-clock comparisons, in percent.
 pub(crate) const DEFAULT_TOLERANCE_PCT: f64 = 30.0;
@@ -206,22 +201,18 @@ fn tolerance_pct_for(key: &str, default_pct: f64) -> f64 {
         .map_or(default_pct, |(_, pct)| pct.max(default_pct))
 }
 
-/// Pull `entries` out of a manifest and key each one: `kernel/variant`
-/// for kernel benches, `workload` for parallel benches.
+/// Pull `entries` out of a manifest and key each one `kernel/variant`.
 fn entries_by_key(manifest: &Value) -> Result<Vec<(String, &Value)>, String> {
     let Some(Value::Array(items)) = manifest.get("entries") else {
         return Err("manifest has no `entries` array".to_string());
     };
     let mut out = Vec::with_capacity(items.len());
     for (i, item) in items.iter().enumerate() {
-        let key = match (str_field(item, "kernel"), str_field(item, "variant")) {
-            (Some(k), Some(v)) => format!("{k}/{v}"),
-            _ => str_field(item, "workload")
-                .map(str::to_string)
-                .ok_or(format!(
-                    "entry #{i} has neither `kernel`+`variant` nor `workload`"
-                ))?,
+        let (Some(kernel), Some(variant)) = (str_field(item, "kernel"), str_field(item, "variant"))
+        else {
+            return Err(format!("entry #{i} lacks a `kernel` or `variant` string"));
         };
+        let key = format!("{kernel}/{variant}");
         if out.iter().any(|(k, _)| *k == key) {
             return Err(format!("duplicate entry key `{key}`"));
         }
@@ -371,7 +362,7 @@ mod tests {
   "schema_version": 1,
   "host_threads": 1,
   "entries": [
-    {"workload": "mining", "secs_sequential": 1.0, "secs_auto": 1.0, "auto_threads": 1, "speedup": 1.0}
+    {"kernel": "mcs", "variant": "pruned", "secs_median": 0.100000, "reps": 5, "probes": 1234, "probes_per_sec": 12340.0, "pairs": 45}
   ]
 }
 "#;
@@ -405,33 +396,15 @@ mod tests {
         assert!(err.contains("schema_version mismatch"), "{err}");
         let none = KERNELS.replace("\"schema_version\": 1,\n", "");
         assert!(diff(&none, KERNELS, &opts()).is_err());
-    }
-
-    #[test]
-    fn parallel_manifests_key_by_workload() {
-        let parallel = r#"{
-  "schema_version": 1,
-  "host_threads": 1,
-  "catapult_threads": null,
-  "os": "linux",
-  "arch": "x86_64",
-  "entries": [
-    {"workload": "mining", "secs_sequential": 2.0, "secs_auto": 2.0, "auto_threads": 1, "speedup": 1.0},
-    {"workload": "fine-clustering", "secs_sequential": 1.0, "secs_auto": 1.0, "auto_threads": 1, "speedup": 1.0}
-  ]
-}
-"#;
-        let report = diff(parallel, parallel, &opts()).expect("comparable");
-        assert_eq!(report.regressions, 0);
-        // A collapsed speedup is a regression even when absolute times pass.
-        let collapsed = parallel.replace(
-            "\"auto_threads\": 1, \"speedup\": 1.0},",
-            "\"auto_threads\": 1, \"speedup\": 0.4},",
+        // An entry keyed only by `workload` (the retired thread-scaling
+        // manifest shape) is not a kernel entry.
+        let workload_only = KERNELS.replace(
+            "{\"kernel\": \"mcs\", \"variant\": \"pruned\", ",
+            "{\"workload\": \"mining\", ",
         );
-        let report = diff(parallel, &collapsed, &opts()).expect("comparable");
-        assert_eq!(report.regressions, 1, "{:?}", report.lines);
-        assert!(report.lines[0].contains("mining"));
-        assert!(report.lines[0].contains("speedup"));
+        assert_ne!(workload_only, KERNELS);
+        let err = diff(&workload_only, KERNELS, &opts()).expect_err("workload-only entry");
+        assert!(err.contains("entry #0"), "{err}");
     }
 
     #[test]
